@@ -1,6 +1,5 @@
 //! Trace-driven set-associative cache model.
 
-use rvhpc_machines::CacheSpec;
 use serde::{Deserialize, Serialize};
 
 /// Hit/miss counters. Mergeable: `a + b` combines the counts of two
@@ -54,44 +53,39 @@ impl std::iter::Sum for CacheStats {
 
 /// A set-associative cache with true-LRU replacement.
 ///
-/// Tags are stored per set with an LRU ordering maintained by shifting —
-/// exact (not pseudo) LRU, which is what the miss-ratio estimates assume.
-/// Set count need not be a power of two (the Xeon 8170's 11-way 35.75 MiB
-/// L3 isn't); indexing uses modulo.
+/// Each set is a slice of line numbers in LRU order, most recent first;
+/// hits and fills rotate the slice — exact (not pseudo) LRU, which is what
+/// the miss-ratio estimates assume. Set count need not be a power of two
+/// (the Xeon 8170's 11-way 35.75 MiB L3 isn't): indexing masks when it is
+/// and falls back to modulo otherwise.
 #[derive(Debug, Clone)]
 pub struct Cache {
     sets: usize,
     ways: usize,
     line_shift: u32,
-    /// `tags[set * ways + way]`; way 0 is most recently used.
-    tags: Vec<u64>,
-    /// Valid bits packed per entry.
-    valid: Vec<bool>,
+    /// `sets - 1` when `sets` is a power of two, else `None` (modulo).
+    set_mask: Option<u64>,
+    /// `lines[set * ways + way]`: the line number held by each way, way 0
+    /// most recently used; [`NO_LINE`] marks an empty way.
+    lines: Vec<u64>,
     stats: CacheStats,
 }
 
-/// Tag value reserved for "empty".
-const NO_TAG: u64 = u64::MAX;
+/// Marks an empty way. No address maps to it: lines hold at least two
+/// bytes, so a line number is at most `u64::MAX >> 1`.
+const NO_LINE: u64 = u64::MAX;
 
 impl Cache {
-    /// Build from a [`CacheSpec`] (uses its full capacity: for shared
-    /// caches, construct per-sharer slices via [`Cache::with_geometry`]).
-    pub fn new(spec: &CacheSpec) -> Self {
-        let sets = (spec.size_bytes / (spec.line_bytes as u64 * spec.associativity as u64)).max(1)
-            as usize;
-        Self::with_geometry(sets, spec.associativity as usize, spec.line_bytes)
-    }
-
     /// Explicit geometry: `sets × ways` lines of `line_bytes`.
     pub fn with_geometry(sets: usize, ways: usize, line_bytes: u32) -> Self {
         assert!(sets >= 1 && ways >= 1);
-        assert!(line_bytes.is_power_of_two());
+        assert!(line_bytes.is_power_of_two() && line_bytes >= 2);
         Self {
             sets,
             ways,
             line_shift: line_bytes.trailing_zeros(),
-            tags: vec![NO_TAG; sets * ways],
-            valid: vec![false; sets * ways],
+            set_mask: sets.is_power_of_two().then_some(sets as u64 - 1),
+            lines: vec![NO_LINE; sets * ways],
             stats: CacheStats::default(),
         }
     }
@@ -107,29 +101,25 @@ impl Cache {
     pub fn access(&mut self, addr: u64) -> bool {
         self.stats.accesses += 1;
         let line = addr >> self.line_shift;
-        let set = (line % self.sets as u64) as usize;
-        let tag = line / self.sets as u64;
-        let base = set * self.ways;
-        // Search ways in LRU order.
-        for w in 0..self.ways {
-            if self.valid[base + w] && self.tags[base + w] == tag {
-                // Hit: move to MRU position.
-                for back in (1..=w).rev() {
-                    self.tags.swap(base + back, base + back - 1);
-                    self.valid.swap(base + back, base + back - 1);
-                }
-                return true;
+        let set = match self.set_mask {
+            Some(mask) => line & mask,
+            None => line % self.sets as u64,
+        } as usize;
+        let ways = &mut self.lines[set * self.ways..(set + 1) * self.ways];
+        match ways.iter().position(|&l| l == line) {
+            Some(w) => {
+                // Hit: move to the MRU position.
+                ways[..=w].rotate_right(1);
+                true
+            }
+            None => {
+                // Miss: the LRU way rotates to the front and is refilled.
+                self.stats.misses += 1;
+                ways.rotate_right(1);
+                ways[0] = line;
+                false
             }
         }
-        // Miss: evict LRU (last way), insert at MRU.
-        self.stats.misses += 1;
-        for back in (1..self.ways).rev() {
-            self.tags.swap(base + back, base + back - 1);
-            self.valid.swap(base + back, base + back - 1);
-        }
-        self.tags[base] = tag;
-        self.valid[base] = true;
-        false
     }
 
     /// Statistics so far.
@@ -144,8 +134,7 @@ impl Cache {
 
     /// Invalidate all contents and reset statistics.
     pub fn flush(&mut self) {
-        self.valid.fill(false);
-        self.tags.fill(NO_TAG);
+        self.lines.fill(NO_LINE);
         self.stats = CacheStats::default();
     }
 }
@@ -285,6 +274,82 @@ mod tests {
         }
         // Modulo indexing maps the linear sweep perfectly: all hits.
         assert_eq!(c.stats().misses, 0);
+    }
+
+    /// Textbook true LRU: one most-recent-first list of line numbers per
+    /// set, no packing, no rotation tricks.
+    struct ReferenceLru {
+        sets: Vec<Vec<u64>>,
+        ways: usize,
+        line_bytes: u64,
+    }
+
+    impl ReferenceLru {
+        fn new(sets: usize, ways: usize, line_bytes: u32) -> Self {
+            Self {
+                sets: vec![Vec::new(); sets],
+                ways,
+                line_bytes: u64::from(line_bytes),
+            }
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            let line = addr / self.line_bytes;
+            let n = self.sets.len() as u64;
+            let set = &mut self.sets[(line % n) as usize];
+            let hit = match set.iter().position(|&l| l == line) {
+                Some(w) => {
+                    set.remove(w);
+                    true
+                }
+                None => {
+                    set.truncate(self.ways - 1);
+                    false
+                }
+            };
+            set.insert(0, line);
+            hit
+        }
+    }
+
+    #[test]
+    fn matches_reference_lru_access_by_access() {
+        // Power-of-two and non-power-of-two set counts (the latter is the
+        // Xeon 8170's 11-way L3 slice shape), several line sizes.
+        let geometries = [
+            (64, 8, 64),
+            (16, 4, 64),
+            (52, 11, 64),
+            (13, 3, 128),
+            (1, 2, 64),
+        ];
+        for (sets, ways, line) in geometries {
+            let span = (sets * ways) as u64 * u64::from(line) * 3;
+            let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ span;
+            let mut random = || {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (x >> 11) % span
+            };
+            let random_stream: Vec<u64> = (0..40_000).map(|_| random()).collect();
+            let strided_stream: Vec<u64> = [8u64, 64, 72, 4096, 4160]
+                .iter()
+                .flat_map(|&stride| (0..8_000u64).map(move |i| (i * stride) % span))
+                .collect();
+            for stream in [random_stream, strided_stream] {
+                let mut cache = Cache::with_geometry(sets, ways, line);
+                let mut reference = ReferenceLru::new(sets, ways, line);
+                for (i, &addr) in stream.iter().enumerate() {
+                    assert_eq!(
+                        cache.access(addr),
+                        reference.access(addr),
+                        "{sets}x{ways}x{line}: access {i} to {addr:#x}"
+                    );
+                }
+                assert!(cache.stats().misses > 0 && cache.stats().misses < cache.stats().accesses);
+            }
+        }
     }
 
     #[test]

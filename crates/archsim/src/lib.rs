@@ -54,7 +54,7 @@ pub use dram::{DramModel, SaturationLaw};
 pub use hierarchy::{Hierarchy, MissBreakdown};
 pub use pipeline::PipelineModel;
 pub use replay::{BranchPredictor, ReplayStats, TraceConsumer, TraceEvent};
-pub use simulate::TraceHierarchy;
+pub use simulate::{CacheGeometry, HierarchyGeometry, TraceHierarchy};
 pub use stall::StallAccount;
 pub use tlb::Tlb;
 pub use vector::VectorModel;

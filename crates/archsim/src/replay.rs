@@ -7,7 +7,7 @@
 
 use crate::cache::CacheStats;
 use crate::counters::HierarchyCounters;
-use crate::simulate::TraceHierarchy;
+use crate::simulate::{HierarchyGeometry, TraceHierarchy};
 use crate::tlb::Tlb;
 use rvhpc_machines::Machine;
 
@@ -109,8 +109,8 @@ impl ReplayStats {
 
 /// Consumes a trace-event stream into the per-thread cache hierarchy, the
 /// L1 dTLB model, and a branch predictor. One consumer models one hardware
-/// thread; `for_thread` shares L2/L3 capacity the same way the stream
-/// replays do.
+/// thread; the cache geometry is its only parameter, so equal geometries
+/// replay a trace to equal [`ReplayStats`].
 pub struct TraceConsumer {
     hier: TraceHierarchy,
     tlb: Tlb,
@@ -124,9 +124,10 @@ pub struct TraceConsumer {
 }
 
 impl TraceConsumer {
-    pub fn for_thread(machine: &Machine, threads: u32) -> Self {
+    /// A consumer whose caches have `geometry`.
+    pub fn new(geometry: &HierarchyGeometry) -> Self {
         TraceConsumer {
-            hier: TraceHierarchy::for_thread(machine, threads),
+            hier: TraceHierarchy::new(geometry),
             tlb: Tlb::typical_l1_dtlb(),
             predictor: BranchPredictor::new(1024),
             instret: 0,
@@ -136,6 +137,12 @@ impl TraceConsumer {
             vector_elems: 0,
             gather_ops: 0,
         }
+    }
+
+    /// One thread of `threads` on `machine`, sharing L2/L3 capacity the
+    /// same way the stream replays do.
+    pub fn for_thread(machine: &Machine, threads: u32) -> Self {
+        Self::new(&HierarchyGeometry::for_thread(machine, threads))
     }
 
     pub fn consume(&mut self, ev: TraceEvent) {

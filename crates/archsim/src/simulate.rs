@@ -13,6 +13,72 @@ use crate::counters::HierarchyCounters;
 use crate::hierarchy::MissBreakdown;
 use crate::stream_gen::AddressStream;
 
+/// Sets, ways and line size of one trace-driven cache level.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct CacheGeometry {
+    pub sets: usize,
+    pub ways: usize,
+    pub line_bytes: u32,
+}
+
+impl CacheGeometry {
+    /// The geometry holding `bytes` in `ways`-way sets of `line_bytes`
+    /// lines (at least one set).
+    fn for_capacity(bytes: f64, ways: u32, line_bytes: u32) -> Self {
+        let sets = ((bytes / f64::from(line_bytes) / f64::from(ways)) as usize).max(1);
+        Self {
+            sets,
+            ways: ways as usize,
+            line_bytes,
+        }
+    }
+
+    fn build(&self) -> Cache {
+        Cache::with_geometry(self.sets, self.ways, self.line_bytes)
+    }
+}
+
+/// The cache geometry one hardware thread sees: everything a
+/// [`TraceHierarchy`] (and so a trace replay) depends on. Two machines
+/// with equal geometries replay any trace to identical counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct HierarchyGeometry {
+    pub l1: CacheGeometry,
+    pub l2: CacheGeometry,
+    pub l3: Option<CacheGeometry>,
+}
+
+impl HierarchyGeometry {
+    /// The hierarchy seen by **one thread of `threads`** on machine `m`:
+    /// private L1, its share of the (possibly cluster-shared) L2, and its
+    /// share of the L3. L2 and L3 use the L1 line size.
+    pub fn for_thread(m: &Machine, threads: u32) -> Self {
+        let threads = threads.max(1);
+        let line = m.l1d.line_bytes;
+        let l2_sharers = threads.min(m.l2.shared_by_cores).max(1);
+        Self {
+            l1: CacheGeometry {
+                sets: m.l1d.sets().max(1) as usize,
+                ways: m.l1d.associativity as usize,
+                line_bytes: line,
+            },
+            l2: CacheGeometry::for_capacity(
+                m.l2.size_bytes as f64 / f64::from(l2_sharers),
+                m.l2.associativity,
+                line,
+            ),
+            l3: m.l3.as_ref().map(|l3| {
+                let sharers = threads.min(l3.shared_by_cores).max(1);
+                CacheGeometry::for_capacity(
+                    l3.size_bytes as f64 / f64::from(sharers),
+                    l3.associativity,
+                    line,
+                )
+            }),
+        }
+    }
+}
+
 /// A three-level (or two-level) cache hierarchy that replays address
 /// traces. Caches are non-inclusive: each level is looked up on a miss in
 /// the previous one and allocates on miss, mirroring the estimate model's
@@ -31,30 +97,12 @@ pub struct TraceHierarchy {
 }
 
 impl TraceHierarchy {
-    /// Build the hierarchy seen by **one thread of `threads`** on machine
-    /// `m`: private L1, its share of the (possibly cluster-shared) L2, and
-    /// its share of the L3.
-    pub fn for_thread(m: &Machine, threads: u32) -> Self {
-        let threads = threads.max(1);
-        let line = m.l1d.line_bytes;
-        let mk = |bytes: f64, assoc: u32| -> Cache {
-            let sets = ((bytes / f64::from(line) / f64::from(assoc)) as usize).max(1);
-            Cache::with_geometry(sets, assoc as usize, line)
-        };
-        let l2_sharers = threads.min(m.l2.shared_by_cores).max(1);
-        let l1 = Cache::new(&m.l1d);
-        let l2 = mk(
-            m.l2.size_bytes as f64 / f64::from(l2_sharers),
-            m.l2.associativity,
-        );
-        let l3 = m.l3.as_ref().map(|l3| {
-            let sharers = threads.min(l3.shared_by_cores).max(1);
-            mk(l3.size_bytes as f64 / f64::from(sharers), l3.associativity)
-        });
+    /// An empty hierarchy of the given geometry.
+    pub fn new(geometry: &HierarchyGeometry) -> Self {
         Self {
-            l1,
-            l2,
-            l3,
+            l1: geometry.l1.build(),
+            l2: geometry.l2.build(),
+            l3: geometry.l3.as_ref().map(CacheGeometry::build),
             accesses: 0,
             l1_hits: 0,
             l2_hits: 0,
@@ -64,24 +112,24 @@ impl TraceHierarchy {
         }
     }
 
-    /// Explicit capacities in bytes (for tests and ablations).
+    /// The hierarchy [`HierarchyGeometry::for_thread`] describes.
+    pub fn for_thread(m: &Machine, threads: u32) -> Self {
+        Self::new(&HierarchyGeometry::for_thread(m, threads))
+    }
+
+    /// Explicit capacities in bytes, 8-way at every level (for tests and
+    /// ablations).
     pub fn with_capacities(l1: u64, l2: u64, l3: Option<u64>, line: u32) -> Self {
-        let mk = |bytes: u64| {
-            let assoc = 8usize;
-            let sets = (bytes as usize / line as usize / assoc).max(1);
-            Cache::with_geometry(sets, assoc, line)
+        let level = |bytes: u64| CacheGeometry {
+            sets: (bytes as usize / line as usize / 8).max(1),
+            ways: 8,
+            line_bytes: line,
         };
-        Self {
-            l1: mk(l1),
-            l2: mk(l2),
-            l3: l3.map(mk),
-            accesses: 0,
-            l1_hits: 0,
-            l2_hits: 0,
-            l3_hits: 0,
-            dram: 0,
-            snapshot_mark: HierarchyCounters::default(),
-        }
+        Self::new(&HierarchyGeometry {
+            l1: level(l1),
+            l2: level(l2),
+            l3: l3.map(level),
+        })
     }
 
     /// Replay one access.

@@ -7,7 +7,9 @@
 //! workspace's own OpenMP-style pool ([`rvhpc_parallel::Pool`]) — the
 //! runtime the benchmarks run on is also the runtime the evaluation runs
 //! on. Results come back in plan order, so rendering is byte-identical
-//! to a serial evaluation regardless of the worker count.
+//! to a serial evaluation regardless of the worker count. Within one
+//! execution, instruction-level misses share kernel characterizations by
+//! [`CharKey`]; that memo is local to the call and never outlives it.
 //!
 //! Parallelism is controlled by, in priority order: an explicit
 //! `execute_with_jobs` argument, [`set_default_jobs`] (the `--jobs` CLI
@@ -20,6 +22,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
+use rvhpc_isa::{characterize_key, CharKey, KernelCharacter};
 use rvhpc_npb::profile::WorkloadProfile;
 use rvhpc_npb::{BenchmarkId, Class};
 use rvhpc_obs::{EventKind, JsonValue, TraceCtx};
@@ -28,15 +31,34 @@ use rvhpc_parallel::Pool;
 use crate::engine::cache::ShardedCache;
 use crate::engine::plan::{Backend, CacheKey, Plan, Query};
 use crate::engine::store::DiskStore;
+use crate::isa_backend;
 use crate::model::{predict, Prediction, Scenario};
+
+/// Kernel characters computed during one plan execution, by key. Many
+/// what-if machines share a key (clock, memory and core timing never
+/// reach it), so a plan characterizes each distinct key once. The memo is
+/// dropped when the execution returns: nothing outlives a plan.
+type CharMemo = ShardedCache<CharKey, KernelCharacter>;
 
 /// Evaluate one query's prediction with its selected backend. Both the
 /// single-query path and the batch executor funnel through here, so
 /// `Backend::Isa` queries are trace-driven everywhere predictions are made.
-fn compute_prediction(q: &Query, profile: &WorkloadProfile, scenario: &Scenario) -> Prediction {
-    match q.backend {
-        Backend::Profile => predict(profile, scenario),
-        Backend::Isa(ext) => crate::isa_backend::predict_isa(profile, scenario, ext),
+/// With a `chars` memo, characterizations are shared through it; the
+/// result is bit-identical either way.
+fn compute_prediction(
+    q: &Query,
+    profile: &WorkloadProfile,
+    scenario: &Scenario,
+    chars: Option<&CharMemo>,
+) -> Prediction {
+    match (q.backend, chars) {
+        (Backend::Profile, _) => predict(profile, scenario),
+        (Backend::Isa(ext), None) => isa_backend::predict_isa(profile, scenario, ext),
+        (Backend::Isa(ext), Some(memo)) => {
+            isa_backend::predict_isa_via(profile, scenario, ext, |key| {
+                memo.get_or_insert_with(key, || characterize_key(key))
+            })
+        }
     }
 }
 
@@ -346,7 +368,7 @@ impl Engine {
         let machine = plan.machine_of(q);
         let profile = self.profile(q.bench, q.class);
         let scenario = q.scenario(&machine);
-        let pred = Arc::new(compute_prediction(q, &profile, &scenario));
+        let pred = Arc::new(compute_prediction(q, &profile, &scenario, None));
         self.predictions.insert(key, Arc::clone(&pred));
         self.write_through(&key, &pred);
         pred
@@ -478,12 +500,16 @@ impl Engine {
 
         // Compute the misses — in parallel on our own runtime when both
         // the work and the worker count allow it.
+        let chars = misses
+            .iter()
+            .any(|&i| matches!(uniques[i].1.backend, Backend::Isa(_)))
+            .then(CharMemo::new);
         let compute = |i: usize| -> Arc<Prediction> {
             let (key, q) = &uniques[i];
             let machine = plan.machine_of(q);
             let profile = self.profile(q.bench, q.class);
             let scenario = q.scenario(&machine);
-            let pred = Arc::new(compute_prediction(q, &profile, &scenario));
+            let pred = Arc::new(compute_prediction(q, &profile, &scenario, chars.as_ref()));
             self.predictions.insert(*key, Arc::clone(&pred));
             self.write_through(key, &pred);
             pred

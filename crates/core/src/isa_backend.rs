@@ -5,7 +5,7 @@
 //! assembles an NPB-shaped kernel for the query's extension set, runs it
 //! through the `rvhpc-isa` decode → CFG → interpret pipeline with trace
 //! events replayed into the archsim cache/TLB/branch models
-//! ([`rvhpc_isa::characterize`]), and scales the measured per-element
+//! ([`rvhpc_isa::characterize_key`]), and scales the measured per-element
 //! character up to class size inside a synthesized single-phase
 //! [`WorkloadProfile`]. The same timing model then prices both backends,
 //! so their predictions are directly comparable — the CI `isa-smoke` job
@@ -22,8 +22,15 @@
 //!
 //! Benchmarks without a kernel fall back to the profile backend, so
 //! `Backend::Isa` is total over the query grid.
+//!
+//! A kernel's character depends only on its [`CharKey`] (kernel,
+//! extension set, VLEN, per-thread cache geometry), never on clock,
+//! memory or core timing. [`predict_isa_via`] lets the engine share one
+//! characterization across every query of a plan with the same key.
 
-use rvhpc_isa::{characterize, IsaExt, KernelCharacter, KernelId};
+use std::borrow::Borrow;
+
+use rvhpc_isa::{characterize, characterize_key, CharKey, IsaExt, KernelCharacter, KernelId};
 use rvhpc_npb::profile::{AccessPattern, PhaseProfile, WorkloadProfile};
 use rvhpc_npb::{BenchmarkId, Class};
 use rvhpc_obs::JsonValue;
@@ -64,7 +71,7 @@ fn phase_name(kernel: KernelId) -> &'static str {
 
 /// The extension set that actually takes effect under a scenario: RVV can
 /// only be emitted when the compiler vectorises (the machine-side RVV gate
-/// lives in [`characterize`] itself). This mirrors the paper's
+/// lives in [`CharKey::new`]). This mirrors the paper's
 /// `-fno-tree-vectorize` sweeps: the flag, not the hardware, is ablated.
 fn effective_ext(ext: IsaExt, scenario: &Scenario<'_>) -> IsaExt {
     IsaExt {
@@ -177,11 +184,24 @@ pub fn triad_profile(class: Class) -> WorkloadProfile {
 /// fall back to the profile backend (identical result, still keyed
 /// separately in the cache).
 pub fn predict_isa(profile: &WorkloadProfile, scenario: &Scenario<'_>, ext: IsaExt) -> Prediction {
+    predict_isa_via(profile, scenario, ext, characterize_key)
+}
+
+/// [`predict_isa`] with the characterization supplied by `characterize`,
+/// which must return [`characterize_key`]`(key)` — directly or from a
+/// memo of earlier results for the same key.
+pub fn predict_isa_via<C: Borrow<KernelCharacter>>(
+    profile: &WorkloadProfile,
+    scenario: &Scenario<'_>,
+    ext: IsaExt,
+    characterize: impl FnOnce(&CharKey) -> C,
+) -> Prediction {
     match kernel_for(profile.bench) {
         Some(kernel) => {
             let ext = effective_ext(ext, scenario);
-            let ch = characterize(kernel, scenario.machine, scenario.threads, ext);
-            let synth = synthesized_profile(profile, kernel, &ch, scalar_quality(scenario));
+            let key = CharKey::new(kernel, scenario.machine, scenario.threads, ext);
+            let ch = characterize(&key);
+            let synth = synthesized_profile(profile, kernel, ch.borrow(), scalar_quality(scenario));
             predict(&synth, scenario)
         }
         None => predict(profile, scenario),

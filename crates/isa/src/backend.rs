@@ -2,6 +2,12 @@
 //! with trace events routed into the archsim replay models, yielding a
 //! deterministic instruction-granularity [`KernelCharacter`] that the core
 //! engine's `Backend::Isa` prediction path consumes.
+//!
+//! A character is a pure function of its [`CharKey`]: the kernel, the
+//! extension set, whether RVV is emitted, the VLEN and the per-thread
+//! cache geometry. Clock, memory and core-timing fields of a machine never
+//! reach it, so callers that price many machines can characterize each
+//! distinct key once and share the result.
 
 use crate::cfg::build_cfg;
 use crate::interp::run;
@@ -11,11 +17,12 @@ use crate::trace::Tracer;
 use rvhpc_archsim::cache::CacheStats;
 use rvhpc_archsim::counters::HierarchyCounters;
 use rvhpc_archsim::replay::{TraceConsumer, TraceEvent};
+use rvhpc_archsim::HierarchyGeometry;
 use rvhpc_machines::Machine;
 
 /// The ablatable extension dimensions of the instruction-level backend.
 /// `rvv` is a request: it only takes effect on machines whose vector unit
-/// is RVV (see [`characterize`]), mirroring how the compiler flag sweeps in
+/// is RVV (see [`CharKey::new`]), mirroring how the compiler flag sweeps in
 /// the paper only matter on hardware that has the extension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct IsaExt {
@@ -65,7 +72,7 @@ impl Default for IsaExt {
 /// Everything the prediction backend needs to know about one kernel run:
 /// architectural counts from the interpreter plus microarchitectural counts
 /// from the replay models.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelCharacter {
     pub kernel: KernelId,
     pub ext: IsaExt,
@@ -151,29 +158,64 @@ impl Tracer for ReplayTracer<'_> {
     }
 }
 
+/// Everything a [`KernelCharacter`] depends on. [`characterize_key`] reads
+/// nothing else, so equal keys give equal characters. Built only by
+/// [`CharKey::new`], so every key is one some machine produces.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct CharKey {
+    kernel: KernelId,
+    ext: IsaExt,
+    /// Whether the RVV path is emitted: `ext.rvv` on a machine whose
+    /// vector unit is RVV.
+    rvv_active: bool,
+    /// Vector register width the kernel is built for (128 when RVV is off).
+    vlen: u32,
+    /// The cache geometry one thread sees.
+    geometry: HierarchyGeometry,
+}
+
+impl CharKey {
+    /// The key of `kernel` run by one of `threads` threads on `machine`.
+    pub fn new(kernel: KernelId, machine: &Machine, threads: u32, ext: IsaExt) -> Self {
+        let rvv_active = ext.rvv && machine.vector.is_rvv();
+        let vlen = if rvv_active {
+            machine.vector.width_bits().max(64)
+        } else {
+            128
+        };
+        CharKey {
+            kernel,
+            ext,
+            rvv_active,
+            vlen,
+            geometry: HierarchyGeometry::for_thread(machine, threads.max(1)),
+        }
+    }
+}
+
 /// Run the full pipeline for one kernel on one machine and return its
-/// character. Deterministic: same inputs, same output. Panics if the kernel
-/// traps or produces wrong results — both indicate a backend bug, never a
-/// data-dependent condition.
+/// character: [`characterize_key`] of the machine's [`CharKey`].
 pub fn characterize(
     kernel: KernelId,
     machine: &Machine,
     threads: u32,
     ext: IsaExt,
 ) -> KernelCharacter {
+    characterize_key(&CharKey::new(kernel, machine, threads, ext))
+}
+
+/// Run the full pipeline for one key. Deterministic: same key, same
+/// output. Panics if the kernel traps or produces wrong results — both
+/// indicate a backend bug, never a data-dependent condition.
+pub fn characterize_key(key: &CharKey) -> KernelCharacter {
     let _prof = rvhpc_obs::prof::scope("isa.characterize");
-    let rvv_active = ext.rvv && machine.vector.is_rvv();
-    let ext_set = ext.to_ext_set(rvv_active);
-    let vlen = if rvv_active {
-        machine.vector.width_bits().max(64)
-    } else {
-        128
-    };
-    let built = build(kernel, &ext_set, vlen);
+    let kernel = key.kernel;
+    let ext_set = key.ext.to_ext_set(key.rvv_active);
+    let built = build(kernel, &ext_set, key.vlen);
     let prog = built.decode(&ext_set);
     let cfg = build_cfg(&prog);
 
-    let mut consumer = TraceConsumer::for_thread(machine, threads.max(1));
+    let mut consumer = TraceConsumer::new(&key.geometry);
     let mut cpu = built.cpu.clone();
     let stats = {
         let mut tracer = ReplayTracer {
@@ -190,8 +232,8 @@ pub fn characterize(
 
     KernelCharacter {
         kernel,
-        ext,
-        rvv_active,
+        ext: key.ext,
+        rvv_active: key.rvv_active,
         elems: built.elems,
         flops_per_elem: built.flops_per_elem,
         instret: stats.instret,

@@ -165,10 +165,10 @@ pub struct ExecStats {
 }
 
 /// Execute until `ebreak` (normal halt) or a trap, emitting trace events.
-pub fn run(
+pub fn run<T: Tracer + ?Sized>(
     cpu: &mut Cpu,
     prog: &DecodedProgram,
-    tracer: &mut dyn Tracer,
+    tracer: &mut T,
     max_steps: u64,
 ) -> Result<ExecStats, Trap> {
     let _prof = rvhpc_obs::prof::scope("isa.interp");
@@ -209,12 +209,12 @@ pub fn run(
 }
 
 #[inline]
-fn step(
+fn step<T: Tracer + ?Sized>(
     cpu: &mut Cpu,
     pc: u64,
     next_pc: u64,
     i: &Instr,
-    tracer: &mut dyn Tracer,
+    tracer: &mut T,
     stats: &mut ExecStats,
 ) -> Result<(), Trap> {
     let rs1 = cpu.x[i.rs1 as usize];

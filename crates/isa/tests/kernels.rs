@@ -6,8 +6,8 @@
 use rvhpc_isa::interp::run;
 use rvhpc_isa::ir::ExtSet;
 use rvhpc_isa::kernels::{build, MAX_STEPS};
-use rvhpc_isa::trace::NullTracer;
-use rvhpc_isa::{build_cfg, characterize, IsaExt, KernelId};
+use rvhpc_isa::trace::{NullTracer, Tracer};
+use rvhpc_isa::{build_cfg, characterize, Instr, IsaExt, KernelId};
 
 fn ext_configs() -> Vec<ExtSet> {
     vec![
@@ -48,6 +48,49 @@ fn all_kernels_run_and_verify_under_all_ext_configs() {
                 .verify(&cpu)
                 .unwrap_or_else(|e| panic!("{} {ext:?}: {e}", id.name()));
         }
+    }
+}
+
+/// Counts every hook call, to compare static and dynamic dispatch.
+#[derive(Default, PartialEq, Debug)]
+struct Counting {
+    retires: u64,
+    mems: u64,
+    branches: u64,
+    vectors: u64,
+}
+
+impl Tracer for Counting {
+    fn retire(&mut self, _pc: u64, _instr: &Instr) {
+        self.retires += 1;
+    }
+    fn mem(&mut self, _addr: u64, _bytes: u8, _is_store: bool) {
+        self.mems += 1;
+    }
+    fn branch(&mut self, _pc: u64, _taken: bool) {
+        self.branches += 1;
+    }
+    fn vector(&mut self, _elems: u32, _gather: bool) {
+        self.vectors += 1;
+    }
+}
+
+#[test]
+fn trait_object_tracers_see_the_same_events() {
+    let ext = ExtSet::full();
+    for id in KernelId::ALL {
+        let built = build(id, &ext, 256);
+        let prog = built.decode(&ext);
+        let mut direct = Counting::default();
+        let mut cpu = built.cpu.clone();
+        let a = run(&mut cpu, &prog, &mut direct, MAX_STEPS).expect("runs");
+        let mut boxed = Counting::default();
+        let dynamic: &mut dyn Tracer = &mut boxed;
+        let mut cpu = built.cpu.clone();
+        let b = run(&mut cpu, &prog, dynamic, MAX_STEPS).expect("runs");
+        assert_eq!(a, b, "{}", id.name());
+        assert_eq!(direct, boxed, "{}", id.name());
+        assert_eq!(direct.retires, a.instret);
     }
 }
 

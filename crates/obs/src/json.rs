@@ -305,12 +305,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance one whole UTF-8 char.
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| err(*pos, "invalid UTF-8"))?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or escape. Both
+                // are ASCII, which never occurs inside a multi-byte UTF-8
+                // char, so the run is whole chars and validating it costs
+                // its own length: linear over the string.
+                let start = *pos;
+                while !matches!(bytes.get(*pos), None | Some(b'"') | Some(b'\\')) {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos])
+                    .map_err(|_| err(start, "invalid UTF-8"))?;
+                out.push_str(run);
             }
         }
     }
@@ -418,6 +423,26 @@ mod tests {
         assert!(parse("{\"a\":}").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn multi_megabyte_strings_parse_in_linear_time() {
+        // A 4 MiB string value with multi-byte chars and escapes spread
+        // through it: re-validating the rest of the input per char would
+        // take minutes here.
+        let chunk = "trace ⏱ événement \"q\" ";
+        let value: String = chunk.repeat(4 * 1024 * 1024 / chunk.len());
+        let doc = JsonValue::object([("s".to_string(), JsonValue::from(value.as_str()))]);
+        let text = doc.to_json();
+        assert!(text.len() > 4_000_000);
+        let started = std::time::Instant::now();
+        let back = parse(&text).expect("parses");
+        assert_eq!(back, doc);
+        assert!(
+            started.elapsed().as_secs() < 20,
+            "parse took {:?}",
+            started.elapsed()
+        );
     }
 
     #[test]

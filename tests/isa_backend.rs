@@ -3,10 +3,10 @@
 //! worker count, agreement with the profile backend, and the gated
 //! `isa` metrics section.
 
-use rvhpc::eval::engine::{Backend, Engine, Plan, Query};
+use rvhpc::eval::engine::{Backend, Engine, MachineSel, Plan, Query, SpecKind};
 use rvhpc::eval::{isa_backend, metrics, predict, Scenario};
 use rvhpc::isa::{IsaExt, KernelId};
-use rvhpc::machines::{presets, MachineId};
+use rvhpc::machines::{presets, Machine, MachineId, VectorIsa};
 use rvhpc::npb::{BenchmarkId, Class};
 use rvhpc::obs::{json, JsonValue};
 
@@ -40,6 +40,79 @@ fn isa_predictions_are_identical_across_worker_counts() {
             .collect()
     };
     assert_eq!(serialize(1), serialize(8));
+}
+
+/// A what-if grid shaped like the benchmark's: retimed RISC-V machines
+/// (clock, memory and core fields moved; two VLENs) crossed with the
+/// mapped benchmarks and two thread counts, ISA backend first, then the
+/// same points under the profile backend. Pairs of machines differ only
+/// outside the characterization key, so keys are shared across queries.
+fn what_if_grid() -> Plan {
+    let mut plan = Plan::new();
+    let mut sels = Vec::new();
+    for (i, base) in [presets::sg2044(), presets::sg2042()]
+        .into_iter()
+        .enumerate()
+    {
+        for variant in 0..2u32 {
+            let mut m: Machine = base.clone();
+            m.clock_ghz = 1.0 + f64::from(variant) * 0.7 + i as f64 * 1e-3;
+            m.memory.sustained_fraction *= 0.6 + 0.5 * f64::from(variant);
+            m.core.mlp *= 0.8 + 0.4 * f64::from(variant);
+            if i == 0 {
+                m.vector = VectorIsa::Rvv1_0 { vlen_bits: 256 };
+            }
+            sels.push(plan.add_machine(m));
+        }
+    }
+    for backend in [Backend::Isa(IsaExt::full()), Backend::Profile] {
+        for &machine in &sels {
+            for bench in [BenchmarkId::Cg, BenchmarkId::Mg, BenchmarkId::Ep] {
+                for threads in [16, 64] {
+                    plan.push(Query {
+                        machine,
+                        bench,
+                        class: Class::C,
+                        threads,
+                        spec: SpecKind::PaperHeadline,
+                        backend,
+                    });
+                }
+            }
+        }
+    }
+    plan
+}
+
+/// The engine shares one characterization per key within a plan; the
+/// result must be bit-identical to pricing every query on its own with
+/// the uncached backend, at any worker count.
+#[test]
+fn shared_characterizations_match_uncached_predictions_bit_for_bit() {
+    let plan = what_if_grid();
+    let reference: Vec<(u64, u64)> = plan
+        .queries()
+        .iter()
+        .map(|q| {
+            assert!(matches!(q.machine, MachineSel::Custom(_)));
+            let machine = plan.machine_of(q);
+            let scenario = q.scenario(&machine);
+            let profile = rvhpc::npb::profile(q.bench, q.class);
+            let p = match q.backend {
+                Backend::Isa(ext) => isa_backend::predict_isa(&profile, &scenario, ext),
+                Backend::Profile => predict(&profile, &scenario),
+            };
+            (p.seconds.to_bits(), p.mops.to_bits())
+        })
+        .collect();
+    for jobs in [1, 4] {
+        let got: Vec<(u64, u64)> = Engine::new()
+            .execute_with_jobs(&plan, jobs)
+            .iter()
+            .map(|p| (p.seconds.to_bits(), p.mops.to_bits()))
+            .collect();
+        assert_eq!(got, reference, "jobs={jobs}");
+    }
 }
 
 /// Profile and ISA backends memoize independently: same grid point,
