@@ -53,11 +53,21 @@ impl std::iter::Sum for CacheStats {
 
 /// A set-associative cache with true-LRU replacement.
 ///
-/// Each set is a slice of line numbers in LRU order, most recent first;
-/// hits and fills rotate the slice — exact (not pseudo) LRU, which is what
-/// the miss-ratio estimates assume. Set count need not be a power of two
-/// (the Xeon 8170's 11-way 35.75 MiB L3 isn't): indexing masks when it is
-/// and falls back to modulo otherwise.
+/// Each set is a slice of tags in LRU order, most recent first; hits and
+/// fills rotate the slice — exact (not pseudo) LRU, which is what the
+/// miss-ratio estimates assume. Set count need not be a power of two (the
+/// Xeon 8170's 11-way 35.75 MiB L3 isn't): indexing masks and shifts when
+/// it is and falls back to modulo and division otherwise.
+///
+/// A way stores its line's set-relative tag (`line / sets`) plus one in a
+/// `u32`, `0` marking an empty way: half the footprint of a full line
+/// number, and a fresh tag array is all zeros, so pages of sets a replay
+/// never touches are never committed. The addressable range is therefore
+/// addresses below `(2^32 - 1) × sets × line_bytes` — just under 256 GiB
+/// for a single set of 64-byte lines and more for every real geometry, far
+/// above every trace here (ISA kernel data starts at 1 MiB; the stream
+/// generators stay inside their working sets).
+/// [`Cache::access`] panics beyond it rather than alias two lines.
 #[derive(Debug, Clone)]
 pub struct Cache {
     sets: usize,
@@ -65,27 +75,26 @@ pub struct Cache {
     line_shift: u32,
     /// `sets - 1` when `sets` is a power of two, else `None` (modulo).
     set_mask: Option<u64>,
-    /// `lines[set * ways + way]`: the line number held by each way, way 0
-    /// most recently used; [`NO_LINE`] marks an empty way.
-    lines: Vec<u64>,
+    /// `log2(sets)` when `sets` is a power of two (unused otherwise).
+    set_shift: u32,
+    /// `tags[set * ways + way]`: the tag + 1 held by each way, way 0 most
+    /// recently used; 0 marks an empty way.
+    tags: Vec<u32>,
     stats: CacheStats,
 }
-
-/// Marks an empty way. No address maps to it: lines hold at least two
-/// bytes, so a line number is at most `u64::MAX >> 1`.
-const NO_LINE: u64 = u64::MAX;
 
 impl Cache {
     /// Explicit geometry: `sets × ways` lines of `line_bytes`.
     pub fn with_geometry(sets: usize, ways: usize, line_bytes: u32) -> Self {
         assert!(sets >= 1 && ways >= 1);
-        assert!(line_bytes.is_power_of_two() && line_bytes >= 2);
+        assert!(line_bytes.is_power_of_two());
         Self {
             sets,
             ways,
             line_shift: line_bytes.trailing_zeros(),
             set_mask: sets.is_power_of_two().then_some(sets as u64 - 1),
-            lines: vec![NO_LINE; sets * ways],
+            set_shift: sets.trailing_zeros(),
+            tags: vec![0; sets * ways],
             stats: CacheStats::default(),
         }
     }
@@ -97,16 +106,23 @@ impl Cache {
 
     /// Access a byte address; returns `true` on hit. Misses allocate
     /// (write-allocate policy for both reads and writes, as on all the
-    /// studied machines).
+    /// studied machines). Panics on an address past the addressable range
+    /// (see [`Cache`]).
     pub fn access(&mut self, addr: u64) -> bool {
         self.stats.accesses += 1;
         let line = addr >> self.line_shift;
-        let set = match self.set_mask {
-            Some(mask) => line & mask,
-            None => line % self.sets as u64,
-        } as usize;
-        let ways = &mut self.lines[set * self.ways..(set + 1) * self.ways];
-        match ways.iter().position(|&l| l == line) {
+        let (set, tag) = match self.set_mask {
+            Some(mask) => (line & mask, line >> self.set_shift),
+            None => (line % self.sets as u64, line / self.sets as u64),
+        };
+        assert!(
+            tag < u64::from(u32::MAX),
+            "address {addr:#x} is past the cache's addressable range"
+        );
+        let tag = tag as u32 + 1;
+        let set = set as usize;
+        let ways = &mut self.tags[set * self.ways..(set + 1) * self.ways];
+        match ways.iter().position(|&t| t == tag) {
             Some(w) => {
                 // Hit: move to the MRU position.
                 ways[..=w].rotate_right(1);
@@ -116,7 +132,7 @@ impl Cache {
                 // Miss: the LRU way rotates to the front and is refilled.
                 self.stats.misses += 1;
                 ways.rotate_right(1);
-                ways[0] = line;
+                ways[0] = tag;
                 false
             }
         }
@@ -134,7 +150,7 @@ impl Cache {
 
     /// Invalidate all contents and reset statistics.
     pub fn flush(&mut self) {
-        self.lines.fill(NO_LINE);
+        self.tags.fill(0);
         self.stats = CacheStats::default();
     }
 }
@@ -312,6 +328,11 @@ mod tests {
         }
     }
 
+    /// The first address past the range [`Cache`] documents.
+    fn addressable_bytes(sets: usize, line: u32) -> u64 {
+        u64::from(u32::MAX) * sets as u64 * u64::from(line)
+    }
+
     #[test]
     fn matches_reference_lru_access_by_access() {
         // Power-of-two and non-power-of-two set counts (the latter is the
@@ -326,18 +347,38 @@ mod tests {
         for (sets, ways, line) in geometries {
             let span = (sets * ways) as u64 * u64::from(line) * 3;
             let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ span;
-            let mut random = || {
+            let mut random = move || {
                 x = x
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
-                (x >> 11) % span
+                x >> 11
             };
-            let random_stream: Vec<u64> = (0..40_000).map(|_| random()).collect();
+            let random_stream: Vec<u64> = (0..40_000).map(|_| random() % span).collect();
             let strided_stream: Vec<u64> = [8u64, 64, 72, 4096, 4160]
                 .iter()
                 .flat_map(|&stride| (0..8_000u64).map(move |i| (i * stride) % span))
                 .collect();
-            for stream in [random_stream, strided_stream] {
+            // Two sets, each hit by 3×ways distinct tags spread over the
+            // whole tag range, up to the last addressable line: every way
+            // of a set holds a different tag, and tags far apart must
+            // never alias.
+            let bound = addressable_bytes(sets, line);
+            let lines = bound / u64::from(line);
+            let tag_count = 3 * ways as u64;
+            let tags: Vec<u64> = (0..tag_count)
+                .map(|j| (lines / sets as u64 - 1) / (tag_count - 1) * j)
+                .chain([lines / sets as u64 - 1])
+                .collect();
+            let conflict_stream: Vec<u64> = (0..20_000)
+                .map(|_| {
+                    let r = random();
+                    let set = (sets as u64 - 1) * (r & 1);
+                    let tag = tags[(r >> 1) as usize % tags.len()];
+                    (tag * sets as u64 + set) * u64::from(line) + (r >> 20) % u64::from(line)
+                })
+                .chain([bound - 1, bound - u64::from(line), bound - 1])
+                .collect();
+            for stream in [random_stream, strided_stream, conflict_stream] {
                 let mut cache = Cache::with_geometry(sets, ways, line);
                 let mut reference = ReferenceLru::new(sets, ways, line);
                 for (i, &addr) in stream.iter().enumerate() {
@@ -350,6 +391,20 @@ mod tests {
                 assert!(cache.stats().misses > 0 && cache.stats().misses < cache.stats().accesses);
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "addressable range")]
+    fn address_past_the_range_panics_with_power_of_two_sets() {
+        let mut c = Cache::with_geometry(64, 8, 64);
+        c.access(addressable_bytes(64, 64));
+    }
+
+    #[test]
+    #[should_panic(expected = "addressable range")]
+    fn address_past_the_range_panics_with_modulo_sets() {
+        let mut c = Cache::with_geometry(52, 11, 64);
+        c.access(addressable_bytes(52, 64));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use rvhpc_machines::Machine;
 
-use crate::cache::Cache;
+use crate::cache::{Cache, CacheStats};
 use crate::counters::HierarchyCounters;
 use crate::hierarchy::MissBreakdown;
 use crate::stream_gen::AddressStream;
@@ -82,16 +82,13 @@ impl HierarchyGeometry {
 /// A three-level (or two-level) cache hierarchy that replays address
 /// traces. Caches are non-inclusive: each level is looked up on a miss in
 /// the previous one and allocates on miss, mirroring the estimate model's
-/// assumptions.
+/// assumptions. The per-level service counts are the levels' own hit and
+/// miss counts: a level's accesses are the previous level's misses, and
+/// the last level's misses go to DRAM.
 pub struct TraceHierarchy {
     l1: Cache,
     l2: Cache,
     l3: Option<Cache>,
-    accesses: u64,
-    l1_hits: u64,
-    l2_hits: u64,
-    l3_hits: u64,
-    dram: u64,
     /// Counter values at the last phase-boundary snapshot.
     snapshot_mark: HierarchyCounters,
 }
@@ -103,11 +100,6 @@ impl TraceHierarchy {
             l1: geometry.l1.build(),
             l2: geometry.l2.build(),
             l3: geometry.l3.as_ref().map(CacheGeometry::build),
-            accesses: 0,
-            l1_hits: 0,
-            l2_hits: 0,
-            l3_hits: 0,
-            dram: 0,
             snapshot_mark: HierarchyCounters::default(),
         }
     }
@@ -134,19 +126,10 @@ impl TraceHierarchy {
 
     /// Replay one access.
     pub fn access(&mut self, addr: u64) {
-        self.accesses += 1;
-        if self.l1.access(addr) {
-            self.l1_hits += 1;
-        } else if self.l2.access(addr) {
-            self.l2_hits += 1;
-        } else if let Some(l3) = &mut self.l3 {
-            if l3.access(addr) {
-                self.l3_hits += 1;
-            } else {
-                self.dram += 1;
+        if !self.l1.access(addr) && !self.l2.access(addr) {
+            if let Some(l3) = &mut self.l3 {
+                l3.access(addr);
             }
-        } else {
-            self.dram += 1;
         }
     }
 
@@ -160,11 +143,6 @@ impl TraceHierarchy {
 
     /// Zero the counters (keeping cache contents — warm-up protocol).
     pub fn reset_stats(&mut self) {
-        self.accesses = 0;
-        self.l1_hits = 0;
-        self.l2_hits = 0;
-        self.l3_hits = 0;
-        self.dram = 0;
         self.snapshot_mark = HierarchyCounters::default();
         self.l1.reset_stats();
         self.l2.reset_stats();
@@ -175,12 +153,15 @@ impl TraceHierarchy {
 
     /// Cumulative per-level service counts since the last reset.
     pub fn counters(&self) -> HierarchyCounters {
+        let (l1, l2) = (self.l1.stats(), self.l2.stats());
+        let l3 = self.l3.as_ref().map(Cache::stats);
+        let hits = |s: CacheStats| s.accesses - s.misses;
         HierarchyCounters {
-            accesses: self.accesses,
-            l1_hits: self.l1_hits,
-            l2_hits: self.l2_hits,
-            l3_hits: self.l3_hits,
-            dram: self.dram,
+            accesses: l1.accesses,
+            l1_hits: hits(l1),
+            l2_hits: hits(l2),
+            l3_hits: l3.map_or(0, hits),
+            dram: l3.unwrap_or(l2).misses,
         }
     }
 
@@ -196,21 +177,22 @@ impl TraceHierarchy {
 
     /// The measured per-level service breakdown.
     pub fn breakdown(&self) -> MissBreakdown {
-        if self.accesses == 0 {
+        let c = self.counters();
+        if c.accesses == 0 {
             return MissBreakdown::default();
         }
-        let n = self.accesses as f64;
+        let n = c.accesses as f64;
         MissBreakdown {
-            l1: self.l1_hits as f64 / n,
-            l2: self.l2_hits as f64 / n,
-            l3: self.l3_hits as f64 / n,
-            dram: self.dram as f64 / n,
+            l1: c.l1_hits as f64 / n,
+            l2: c.l2_hits as f64 / n,
+            l3: c.l3_hits as f64 / n,
+            dram: c.dram as f64 / n,
         }
     }
 
     /// Total accesses replayed since the last reset.
     pub fn accesses(&self) -> u64 {
-        self.accesses
+        self.l1.stats().accesses
     }
 }
 

@@ -8,8 +8,10 @@
 //! runtime the benchmarks run on is also the runtime the evaluation runs
 //! on. Results come back in plan order, so rendering is byte-identical
 //! to a serial evaluation regardless of the worker count. Within one
-//! execution, instruction-level misses share kernel characterizations by
-//! [`CharKey`]; that memo is local to the call and never outlives it.
+//! execution, instruction-level misses share kernel characterizations: a
+//! pre-pass characterizes the distinct [`CharKey`]s of the plan's misses,
+//! interpreting each kernel once per group of keys that differ only in
+//! cache geometry, and the characters are dropped when the call returns.
 //!
 //! Parallelism is controlled by, in priority order: an explicit
 //! `execute_with_jobs` argument, [`set_default_jobs`] (the `--jobs` CLI
@@ -22,7 +24,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
-use rvhpc_isa::{characterize_key, CharKey, KernelCharacter};
+use rvhpc_isa::{characterize_key, characterize_keys, CharKey, KernelCharacter};
 use rvhpc_npb::profile::WorkloadProfile;
 use rvhpc_npb::{BenchmarkId, Class};
 use rvhpc_obs::{EventKind, JsonValue, TraceCtx};
@@ -34,32 +36,84 @@ use crate::engine::store::DiskStore;
 use crate::isa_backend;
 use crate::model::{predict, Prediction, Scenario};
 
-/// Kernel characters computed during one plan execution, by key. Many
+/// Kernel characters computed for one plan execution, by key. Many
 /// what-if machines share a key (clock, memory and core timing never
-/// reach it), so a plan characterizes each distinct key once. The memo is
-/// dropped when the execution returns: nothing outlives a plan.
-type CharMemo = ShardedCache<CharKey, KernelCharacter>;
+/// reach it), and keys that differ only in cache geometry share one
+/// interpretation ([`group_keys`]). The map is dropped when the execution
+/// returns: nothing outlives a plan.
+type Characters = HashMap<CharKey, KernelCharacter>;
 
 /// Evaluate one query's prediction with its selected backend. Both the
 /// single-query path and the batch executor funnel through here, so
 /// `Backend::Isa` queries are trace-driven everywhere predictions are made.
-/// With a `chars` memo, characterizations are shared through it; the
-/// result is bit-identical either way.
+/// An ISA query reads its kernel character from `chars`, which must hold
+/// the query's [`char_key`].
 fn compute_prediction(
     q: &Query,
     profile: &WorkloadProfile,
     scenario: &Scenario,
-    chars: Option<&CharMemo>,
+    chars: &Characters,
 ) -> Prediction {
-    match (q.backend, chars) {
-        (Backend::Profile, _) => predict(profile, scenario),
-        (Backend::Isa(ext), None) => isa_backend::predict_isa(profile, scenario, ext),
-        (Backend::Isa(ext), Some(memo)) => {
-            isa_backend::predict_isa_via(profile, scenario, ext, |key| {
-                memo.get_or_insert_with(key, || characterize_key(key))
-            })
+    match q.backend {
+        Backend::Profile => predict(profile, scenario),
+        Backend::Isa(ext) => isa_backend::predict_isa_via(profile, scenario, ext, |key| {
+            chars.get(key).expect("ISA query characterized up front")
+        }),
+    }
+}
+
+/// The characterization key `q`'s prediction under `scenario` reads, if
+/// any.
+fn char_key(q: &Query, scenario: &Scenario) -> Option<CharKey> {
+    match q.backend {
+        Backend::Isa(ext) => isa_backend::char_key(q.bench, scenario, ext),
+        Backend::Profile => None,
+    }
+}
+
+/// The distinct `keys`, in first-seen order, grouped by
+/// [`CharKey::interprets_like`]: each group is one interpretation.
+fn group_keys(keys: impl IntoIterator<Item = CharKey>) -> Vec<Vec<CharKey>> {
+    let mut groups: Vec<Vec<CharKey>> = Vec::new();
+    for key in keys {
+        match groups.iter_mut().find(|g| g[0].interprets_like(&key)) {
+            Some(group) if group.contains(&key) => {}
+            Some(group) => group.push(key),
+            None => groups.push(vec![key]),
         }
     }
+    groups
+}
+
+/// `f(0), …, f(n - 1)`, in order: on `pool` when one is given (its
+/// regions tagged with `trace_id` when traced), else serially.
+fn map_on<T: Send>(
+    pool: Option<&Pool>,
+    trace_id: Option<u64>,
+    n: usize,
+    f: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let Some(pool) = pool.filter(|_| n > 0) else {
+        return (0..n).map(f).collect();
+    };
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let body = |team: &rvhpc_parallel::Team| {
+        team.for_dynamic(0, n, 1, |k| {
+            *slots[k].lock() = Some(f(k));
+        });
+    };
+    match trace_id {
+        Some(id) => {
+            pool.run_traced(id, body);
+        }
+        None => {
+            pool.run(body);
+        }
+    }
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("executor produced no result"))
+        .collect()
 }
 
 /// Environment variable naming the default worker count for plan
@@ -368,7 +422,11 @@ impl Engine {
         let machine = plan.machine_of(q);
         let profile = self.profile(q.bench, q.class);
         let scenario = q.scenario(&machine);
-        let pred = Arc::new(compute_prediction(q, &profile, &scenario, None));
+        let chars: Characters = char_key(q, &scenario)
+            .map(|key| (key, characterize_key(&key)))
+            .into_iter()
+            .collect();
+        let pred = Arc::new(compute_prediction(q, &profile, &scenario, &chars));
         self.predictions.insert(key, Arc::clone(&pred));
         self.write_through(&key, &pred);
         pred
@@ -499,63 +557,45 @@ impl Engine {
         drop(prof_probe);
 
         // Compute the misses — in parallel on our own runtime when both
-        // the work and the worker count allow it.
-        let chars = misses
-            .iter()
-            .any(|&i| matches!(uniques[i].1.backend, Backend::Isa(_)))
-            .then(CharMemo::new);
-        let compute = |i: usize| -> Arc<Prediction> {
-            let (key, q) = &uniques[i];
-            let machine = plan.machine_of(q);
-            let profile = self.profile(q.bench, q.class);
-            let scenario = q.scenario(&machine);
-            let pred = Arc::new(compute_prediction(q, &profile, &scenario, chars.as_ref()));
-            self.predictions.insert(*key, Arc::clone(&pred));
-            self.write_through(key, &pred);
-            pred
-        };
-
+        // the work and the worker count allow it. A caller-provided
+        // persistent pool always runs the misses — even one — so a single
+        // cold request still executes on (and is traced through) a real
+        // pool worker; the ephemeral path keeps its serial shortcut to
+        // avoid spawning threads for trivial work.
         let workers = jobs.min(misses.len().max(1));
         if let Some(t) = trace.as_deref_mut() {
             t.push("execute");
         }
         let prof_exec = rvhpc_obs::prof::scope("engine.execute");
-        // A caller-provided persistent pool always runs the misses — even
-        // one — so a single cold request still executes on (and is traced
-        // through) a real pool worker; the ephemeral path keeps its serial
-        // shortcut to avoid spawning threads for trivial work.
-        if pool.is_none() && (workers <= 1 || misses.len() <= 1) {
-            for &i in &misses {
-                results[i] = Some(compute(i));
-            }
-        } else if !misses.is_empty() {
-            let computed: Vec<Mutex<Option<Arc<Prediction>>>> =
-                misses.iter().map(|_| Mutex::new(None)).collect();
-            let body = |team: &rvhpc_parallel::Team| {
-                team.for_dynamic(0, misses.len(), 1, |k| {
-                    *computed[k].lock() = Some(compute(misses[k]));
-                });
-            };
-            let run_batch = |pool: &Pool| match trace_id {
-                Some(id) => {
-                    pool.run_traced(id, body);
-                }
-                None => {
-                    pool.run(body);
-                }
-            };
-            match pool {
-                Some(p) => run_batch(p),
-                None => run_batch(&Pool::new(workers)),
-            }
-            for (k, &i) in misses.iter().enumerate() {
-                results[i] = Some(
-                    computed[k]
-                        .lock()
-                        .take()
-                        .expect("executor produced no result"),
-                );
-            }
+        let ephemeral = (pool.is_none() && workers > 1).then(|| Pool::new(workers));
+        let pool = pool.or(ephemeral.as_ref());
+
+        // First the kernel characters the ISA misses read: one
+        // interpretation per group of keys that differ only in geometry.
+        let groups = group_keys(misses.iter().filter_map(|&i| {
+            let q = &uniques[i].1;
+            char_key(q, &q.scenario(&plan.machine_of(q)))
+        }));
+        let chars: Characters = map_on(pool, trace_id, groups.len(), |g| {
+            characterize_keys(&groups[g])
+        })
+        .into_iter()
+        .zip(&groups)
+        .flat_map(|(characters, keys)| keys.iter().copied().zip(characters))
+        .collect();
+
+        let computed = map_on(pool, trace_id, misses.len(), |k| {
+            let (key, q) = &uniques[misses[k]];
+            let machine = plan.machine_of(q);
+            let profile = self.profile(q.bench, q.class);
+            let scenario = q.scenario(&machine);
+            let pred = Arc::new(compute_prediction(q, &profile, &scenario, &chars));
+            self.predictions.insert(*key, Arc::clone(&pred));
+            self.write_through(key, &pred);
+            pred
+        });
+        for (&i, pred) in misses.iter().zip(computed) {
+            results[i] = Some(pred);
         }
         drop(prof_exec);
         if let Some(t) = trace {

@@ -25,8 +25,10 @@
 //!
 //! A kernel's character depends only on its [`CharKey`] (kernel,
 //! extension set, VLEN, per-thread cache geometry), never on clock,
-//! memory or core timing. [`predict_isa_via`] lets the engine share one
-//! characterization across every query of a plan with the same key.
+//! memory or core timing. [`char_key`] names a query's key and
+//! [`predict_isa_via`] prices it from a character computed elsewhere, so
+//! the engine characterizes a plan's keys up front — one interpretation
+//! per group of keys that differ only in geometry — and shares them.
 
 use std::borrow::Borrow;
 
@@ -99,7 +101,6 @@ fn scalar_quality(scenario: &Scenario<'_>) -> f64 {
 /// all per element, scaled by the class element count).
 fn synthesized_profile(
     template: &WorkloadProfile,
-    kernel: KernelId,
     ch: &KernelCharacter,
     scalar_quality: f64,
 ) -> WorkloadProfile {
@@ -116,7 +117,7 @@ fn synthesized_profile(
         .max_by(|a, b| a.instructions.total_cmp(&b.instructions))
         .expect("template profile has phases");
     let phase = PhaseProfile {
-        name: phase_name(kernel),
+        name: phase_name(ch.kernel),
         // Pre-multiplied: predict divides by scalar quality, and measured
         // instret must flow through unscaled.
         instructions: ch.instret_per_elem() * elems * scalar_quality,
@@ -187,21 +188,33 @@ pub fn predict_isa(profile: &WorkloadProfile, scenario: &Scenario<'_>, ext: IsaE
     predict_isa_via(profile, scenario, ext, characterize_key)
 }
 
+/// The characterization key an ISA-backend prediction of `bench` under
+/// `scenario` reads, or `None` when the benchmark has no kernel (and so
+/// falls back to the profile backend).
+pub fn char_key(bench: BenchmarkId, scenario: &Scenario<'_>, ext: IsaExt) -> Option<CharKey> {
+    let kernel = kernel_for(bench)?;
+    let ext = effective_ext(ext, scenario);
+    Some(CharKey::new(
+        kernel,
+        scenario.machine,
+        scenario.threads,
+        ext,
+    ))
+}
+
 /// [`predict_isa`] with the characterization supplied by `characterize`,
-/// which must return [`characterize_key`]`(key)` — directly or from a
-/// memo of earlier results for the same key.
+/// which must return [`characterize_key`]`(key)` — directly or from
+/// characters computed earlier for the same key.
 pub fn predict_isa_via<C: Borrow<KernelCharacter>>(
     profile: &WorkloadProfile,
     scenario: &Scenario<'_>,
     ext: IsaExt,
     characterize: impl FnOnce(&CharKey) -> C,
 ) -> Prediction {
-    match kernel_for(profile.bench) {
-        Some(kernel) => {
-            let ext = effective_ext(ext, scenario);
-            let key = CharKey::new(kernel, scenario.machine, scenario.threads, ext);
+    match char_key(profile.bench, scenario, ext) {
+        Some(key) => {
             let ch = characterize(&key);
-            let synth = synthesized_profile(profile, kernel, ch.borrow(), scalar_quality(scenario));
+            let synth = synthesized_profile(profile, ch.borrow(), scalar_quality(scenario));
             predict(&synth, scenario)
         }
         None => predict(profile, scenario),
@@ -241,7 +254,7 @@ pub fn run_kernel(kernel: KernelId, class: Class, scenario: &Scenario<'_>, ext: 
     };
     let ext = effective_ext(ext, scenario);
     let character = characterize(kernel, scenario.machine, scenario.threads, ext);
-    let profile = synthesized_profile(&template, kernel, &character, scalar_quality(scenario));
+    let profile = synthesized_profile(&template, &character, scalar_quality(scenario));
     let prediction = predict(&profile, scenario);
     IsaRun {
         kernel,

@@ -7,7 +7,10 @@
 //! extension set, whether RVV is emitted, the VLEN and the per-thread
 //! cache geometry. Clock, memory and core-timing fields of a machine never
 //! reach it, so callers that price many machines can characterize each
-//! distinct key once and share the result.
+//! distinct key once and share the result. Only the cache replay reads the
+//! geometry: [`characterize_keys`] interprets a kernel once for every key
+//! that differs only there, fanning the events out to one hierarchy per
+//! geometry without storing a trace.
 
 use crate::cfg::build_cfg;
 use crate::interp::run;
@@ -191,6 +194,14 @@ impl CharKey {
             geometry: HierarchyGeometry::for_thread(machine, threads.max(1)),
         }
     }
+
+    /// Whether `self` and `other` run the same program — equal kernel,
+    /// extensions and VLEN — and so differ at most in cache geometry:
+    /// one interpretation characterizes both ([`characterize_keys`]).
+    pub fn interprets_like(&self, other: &CharKey) -> bool {
+        (self.kernel, self.ext, self.rvv_active, self.vlen)
+            == (other.kernel, other.ext, other.rvv_active, other.vlen)
+    }
 }
 
 /// Run the full pipeline for one kernel on one machine and return its
@@ -204,18 +215,50 @@ pub fn characterize(
     characterize_key(&CharKey::new(kernel, machine, threads, ext))
 }
 
-/// Run the full pipeline for one key. Deterministic: same key, same
-/// output. Panics if the kernel traps or produces wrong results — both
-/// indicate a backend bug, never a data-dependent condition.
+/// Run the full pipeline for one key: [`characterize_keys`] of a one-key
+/// group.
 pub fn characterize_key(key: &CharKey) -> KernelCharacter {
+    characterize_keys(std::slice::from_ref(key))
+        .pop()
+        .expect("one character per key")
+}
+
+/// Characterize a group of keys that all [interpret
+/// alike](CharKey::interprets_like), returning one character per key in
+/// order. The kernel is built, decoded and interpreted once; its events go
+/// live to one shared TLB and branch predictor and to one cache hierarchy
+/// per distinct geometry, so no trace is stored. Deterministic: each
+/// character equals the one its key gets alone, whatever the group. Panics
+/// on a mixed group, or if the kernel traps or produces wrong results —
+/// the latter two indicate a backend bug, never a data-dependent condition.
+pub fn characterize_keys(keys: &[CharKey]) -> Vec<KernelCharacter> {
+    let Some(first) = keys.first() else {
+        return Vec::new();
+    };
+    assert!(
+        keys.iter().all(|k| k.interprets_like(first)),
+        "characterize_keys needs keys that differ only in cache geometry"
+    );
     let _prof = rvhpc_obs::prof::scope("isa.characterize");
-    let kernel = key.kernel;
-    let ext_set = key.ext.to_ext_set(key.rvv_active);
-    let built = build(kernel, &ext_set, key.vlen);
+    let mut geometries: Vec<HierarchyGeometry> = Vec::new();
+    let slots: Vec<usize> = keys
+        .iter()
+        .map(|k| match geometries.iter().position(|g| *g == k.geometry) {
+            Some(slot) => slot,
+            None => {
+                geometries.push(k.geometry);
+                geometries.len() - 1
+            }
+        })
+        .collect();
+
+    let kernel = first.kernel;
+    let ext_set = first.ext.to_ext_set(first.rvv_active);
+    let built = build(kernel, &ext_set, first.vlen);
     let prog = built.decode(&ext_set);
     let cfg = build_cfg(&prog);
 
-    let mut consumer = TraceConsumer::new(&key.geometry);
+    let mut consumer = TraceConsumer::with_geometries(&geometries);
     let mut cpu = built.cpu.clone();
     let stats = {
         let mut tracer = ReplayTracer {
@@ -227,28 +270,33 @@ pub fn characterize_key(key: &CharKey) -> KernelCharacter {
     built
         .verify(&cpu)
         .unwrap_or_else(|e| panic!("kernel {} verification failed: {e}", kernel.name()));
-    let replay = consumer.stats();
-    debug_assert_eq!(replay.instret, stats.instret);
 
-    KernelCharacter {
-        kernel,
-        ext: key.ext,
-        rvv_active: key.rvv_active,
-        elems: built.elems,
-        flops_per_elem: built.flops_per_elem,
-        instret: stats.instret,
-        loads: stats.loads,
-        stores: stats.stores,
-        branches: stats.branches,
-        mispredicts: replay.mispredicts,
-        vector_ops: stats.vector_ops,
-        vector_elems: stats.vector_elems,
-        gather_ops: replay.gather_ops,
-        static_instrs: prog.instrs.len(),
-        compressed_instrs: prog.compressed_count(),
-        cfg_blocks: cfg.block_count(),
-        cfg_edges: cfg.edge_count(),
-        hierarchy: replay.hierarchy,
-        tlb: replay.tlb,
-    }
+    slots
+        .into_iter()
+        .map(|slot| {
+            let replay = consumer.geometry_stats(slot);
+            debug_assert_eq!(replay.instret, stats.instret);
+            KernelCharacter {
+                kernel,
+                ext: first.ext,
+                rvv_active: first.rvv_active,
+                elems: built.elems,
+                flops_per_elem: built.flops_per_elem,
+                instret: stats.instret,
+                loads: stats.loads,
+                stores: stats.stores,
+                branches: stats.branches,
+                mispredicts: replay.mispredicts,
+                vector_ops: stats.vector_ops,
+                vector_elems: stats.vector_elems,
+                gather_ops: replay.gather_ops,
+                static_instrs: prog.instrs.len(),
+                compressed_instrs: prog.compressed_count(),
+                cfg_blocks: cfg.block_count(),
+                cfg_edges: cfg.edge_count(),
+                hierarchy: replay.hierarchy,
+                tlb: replay.tlb,
+            }
+        })
+        .collect()
 }

@@ -40,7 +40,9 @@ pub mod ir;
 pub mod kernels;
 pub mod trace;
 
-pub use backend::{characterize, characterize_key, CharKey, IsaExt, KernelCharacter};
+pub use backend::{
+    characterize, characterize_key, characterize_keys, CharKey, IsaExt, KernelCharacter,
+};
 pub use cfg::{build_cfg, BasicBlock, Cfg};
 pub use decode::{decode, decode_compressed, decode_program, DecodedProgram};
 pub use encode::Asm;

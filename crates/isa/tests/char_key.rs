@@ -1,8 +1,9 @@
 //! A kernel character is a pure function of its `CharKey`: machine fields
-//! outside the key never change it, and every field inside the key does
-//! change the key.
+//! outside the key never change it, every field inside the key does change
+//! the key, and characterizing a group of keys in one interpretation gives
+//! each key the character it gets alone.
 
-use rvhpc_isa::{characterize, characterize_key, CharKey, IsaExt, KernelId};
+use rvhpc_isa::{characterize, characterize_key, characterize_keys, CharKey, IsaExt, KernelId};
 use rvhpc_machines::{presets, Machine, VectorIsa};
 
 /// The SG2044 with every clock, memory and core-timing field moved.
@@ -112,4 +113,110 @@ fn every_geometry_vlen_and_extension_change_moves_the_key() {
         reference,
         "64 threads split the L3 four times finer than 16"
     );
+}
+
+/// The extension ablations the paper's compiler-flag sweeps cover.
+fn ablations() -> [IsaExt; 4] {
+    [
+        IsaExt::full(),
+        IsaExt {
+            zba: false,
+            ..IsaExt::full()
+        },
+        IsaExt {
+            zbb: false,
+            ..IsaExt::full()
+        },
+        IsaExt {
+            rvv: false,
+            ..IsaExt::full()
+        },
+    ]
+}
+
+/// SG2044 variants at `vlen` whose per-thread cache geometries differ:
+/// several L2/L3 shares, the X60's small L1/L2 and no L3, a
+/// non-power-of-two L3 set count (the Xeon 8170's 11-way L3), and one point
+/// repeated.
+fn geometry_mix(vlen: u32) -> Vec<(Machine, u32)> {
+    let mut base = presets::sg2044();
+    base.vector = VectorIsa::Rvv1_0 { vlen_bits: vlen };
+    let x60 = presets::banana_pi_f3();
+    let mut no_l3 = base.clone();
+    (no_l3.l1d, no_l3.l2, no_l3.l3) = (x60.l1d, x60.l2, x60.l3);
+    let mut odd_l3 = base.clone();
+    odd_l3.l3 = presets::xeon8170().l3;
+    vec![
+        (base.clone(), 16),
+        (no_l3, 8),
+        (odd_l3, 1),
+        (base.clone(), 64),
+        (base, 16),
+    ]
+}
+
+#[test]
+fn group_characters_equal_single_key_characters() {
+    let mut geometry_sensitive = 0;
+    for kernel in KernelId::ALL {
+        for ext in ablations() {
+            for vlen in [128, 256, 512] {
+                let keys: Vec<CharKey> = geometry_mix(vlen)
+                    .iter()
+                    .map(|(m, threads)| CharKey::new(kernel, m, *threads, ext))
+                    .collect();
+                let what = format!("{} {} vlen {vlen}", kernel.name(), ext.label());
+                let group = characterize_keys(&keys);
+                assert_eq!(group.len(), keys.len(), "{what}");
+                for (key, ch) in keys.iter().zip(&group) {
+                    assert_eq!(*ch, characterize_key(key), "{what}: {key:?}");
+                }
+                if group.iter().any(|ch| ch.hierarchy != group[0].hierarchy) {
+                    geometry_sensitive += 1;
+                }
+
+                let reversed: Vec<CharKey> = keys.iter().rev().copied().collect();
+                let mut again = characterize_keys(&reversed);
+                again.reverse();
+                assert_eq!(again, group, "{what}: key order changed a character");
+            }
+        }
+    }
+    assert!(geometry_sensitive > 0, "no group replayed differently");
+    assert!(characterize_keys(&[]).is_empty());
+}
+
+#[test]
+fn mixed_groups_panic() {
+    let m = presets::sg2044();
+    let key = |kernel: KernelId, m: &Machine, ext: IsaExt| CharKey::new(kernel, m, 16, ext);
+    let mut wide = m.clone();
+    wide.vector = VectorIsa::Rvv1_0 { vlen_bits: 512 };
+    let mixes = [
+        (
+            "kernel",
+            key(KernelId::Spmv, &m, IsaExt::full()),
+            key(KernelId::EpAccum, &m, IsaExt::full()),
+        ),
+        (
+            "extensions",
+            key(KernelId::Spmv, &m, IsaExt::full()),
+            key(KernelId::Spmv, &m, ablations()[1]),
+        ),
+        (
+            "rvv",
+            key(KernelId::Triad, &m, IsaExt::full()),
+            key(KernelId::Triad, &m, ablations()[3]),
+        ),
+        (
+            "vlen",
+            key(KernelId::Triad, &m, IsaExt::full()),
+            key(KernelId::Triad, &wide, IsaExt::full()),
+        ),
+    ];
+    for (what, a, b) in mixes {
+        assert!(!a.interprets_like(&b), "{what}");
+        let result = std::panic::catch_unwind(|| characterize_keys(&[a, b]));
+        assert!(result.is_err(), "a group mixing {what} must panic");
+    }
 }

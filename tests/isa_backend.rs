@@ -5,10 +5,11 @@
 
 use rvhpc::eval::engine::{Backend, Engine, MachineSel, Plan, Query, SpecKind};
 use rvhpc::eval::{isa_backend, metrics, predict, Scenario};
-use rvhpc::isa::{IsaExt, KernelId};
+use rvhpc::isa::{CharKey, IsaExt, KernelId};
 use rvhpc::machines::{presets, Machine, MachineId, VectorIsa};
 use rvhpc::npb::{BenchmarkId, Class};
 use rvhpc::obs::{json, JsonValue};
+use rvhpc::parallel::Pool;
 
 /// A small mixed plan: every mapped benchmark under both backends plus
 /// one ablated variant.
@@ -42,11 +43,32 @@ fn isa_predictions_are_identical_across_worker_counts() {
     assert_eq!(serialize(1), serialize(8));
 }
 
+/// The extension ablations of the paper's compiler-flag sweeps.
+fn ablations() -> [IsaExt; 4] {
+    [
+        IsaExt::full(),
+        IsaExt {
+            zba: false,
+            ..IsaExt::full()
+        },
+        IsaExt {
+            zbb: false,
+            ..IsaExt::full()
+        },
+        IsaExt {
+            rvv: false,
+            ..IsaExt::full()
+        },
+    ]
+}
+
 /// A what-if grid shaped like the benchmark's: retimed RISC-V machines
 /// (clock, memory and core fields moved; two VLENs) crossed with the
-/// mapped benchmarks and two thread counts, ISA backend first, then the
-/// same points under the profile backend. Pairs of machines differ only
-/// outside the characterization key, so keys are shared across queries.
+/// mapped benchmarks and two thread counts, under every extension
+/// ablation, then with vectorization off, then under the profile backend.
+/// Pairs of machines differ only outside the characterization key, so keys
+/// are shared across queries, and thread counts move only the geometry, so
+/// one interpretation serves several keys.
 fn what_if_grid() -> Plan {
     let mut plan = Plan::new();
     let mut sels = Vec::new();
@@ -65,7 +87,24 @@ fn what_if_grid() -> Plan {
             sels.push(plan.add_machine(m));
         }
     }
-    for backend in [Backend::Isa(IsaExt::full()), Backend::Profile] {
+    let no_vectorize = {
+        let m = presets::sg2044();
+        let mut s = Scenario::headline(&m, 1);
+        s.compiler.vectorize = false;
+        SpecKind::Custom {
+            compiler: s.compiler,
+            bind: s.bind,
+            law: s.law,
+        }
+    };
+    let runs = ablations()
+        .map(|ext| (Backend::Isa(ext), SpecKind::PaperHeadline))
+        .into_iter()
+        .chain([
+            (Backend::Isa(IsaExt::full()), no_vectorize),
+            (Backend::Profile, SpecKind::PaperHeadline),
+        ]);
+    for (backend, spec) in runs {
         for &machine in &sels {
             for bench in [BenchmarkId::Cg, BenchmarkId::Mg, BenchmarkId::Ep] {
                 for threads in [16, 64] {
@@ -74,7 +113,7 @@ fn what_if_grid() -> Plan {
                         bench,
                         class: Class::C,
                         threads,
-                        spec: SpecKind::PaperHeadline,
+                        spec,
                         backend,
                     });
                 }
@@ -84,17 +123,12 @@ fn what_if_grid() -> Plan {
     plan
 }
 
-/// The engine shares one characterization per key within a plan; the
-/// result must be bit-identical to pricing every query on its own with
-/// the uncached backend, at any worker count.
-#[test]
-fn shared_characterizations_match_uncached_predictions_bit_for_bit() {
-    let plan = what_if_grid();
-    let reference: Vec<(u64, u64)> = plan
-        .queries()
+/// Every query of `plan` priced on its own by the uncached backends, as
+/// (seconds, mops) bits.
+fn uncached_bits(plan: &Plan) -> Vec<(u64, u64)> {
+    plan.queries()
         .iter()
         .map(|q| {
-            assert!(matches!(q.machine, MachineSel::Custom(_)));
             let machine = plan.machine_of(q);
             let scenario = q.scenario(&machine);
             let profile = rvhpc::npb::profile(q.bench, q.class);
@@ -104,15 +138,98 @@ fn shared_characterizations_match_uncached_predictions_bit_for_bit() {
             };
             (p.seconds.to_bits(), p.mops.to_bits())
         })
-        .collect();
-    for jobs in [1, 4] {
-        let got: Vec<(u64, u64)> = Engine::new()
-            .execute_with_jobs(&plan, jobs)
-            .iter()
-            .map(|p| (p.seconds.to_bits(), p.mops.to_bits()))
-            .collect();
-        assert_eq!(got, reference, "jobs={jobs}");
+        .collect()
+}
+
+fn bits(predictions: &[std::sync::Arc<rvhpc::eval::Prediction>]) -> Vec<(u64, u64)> {
+    predictions
+        .iter()
+        .map(|p| (p.seconds.to_bits(), p.mops.to_bits()))
+        .collect()
+}
+
+/// The engine characterizes a plan's keys once, one interpretation per
+/// group; the result must be bit-identical to pricing every query on its
+/// own with the uncached backend, at any worker count, on an ephemeral or
+/// a persistent pool, and for a plan of one ISA query (a one-key group).
+#[test]
+fn shared_characterizations_match_uncached_predictions_bit_for_bit() {
+    let grid = what_if_grid();
+    assert!(grid
+        .queries()
+        .iter()
+        .all(|q| matches!(q.machine, MachineSel::Custom(_))));
+    let single = Plan::single(
+        Query::paper(MachineId::Sg2044, BenchmarkId::Mg, Class::B, 8)
+            .with_backend(Backend::Isa(IsaExt::full())),
+    );
+    let pool = Pool::new(2);
+    for plan in [&grid, &single] {
+        let reference = uncached_bits(plan);
+        for jobs in [1, 2, 4] {
+            let got = bits(&Engine::new().execute_with_jobs(plan, jobs));
+            assert_eq!(got, reference, "jobs={jobs}");
+        }
+        let got = bits(&Engine::new().execute_on(plan, &pool));
+        assert_eq!(got, reference, "persistent pool");
     }
+}
+
+/// The kernel interpretations `run` performs on this thread inside plan
+/// executions: `isa.characterize` profiler frames under `engine.execute`
+/// under a `root` frame no other test opens.
+fn interpretations(root: &'static str, run: impl FnOnce()) -> u64 {
+    let frame = rvhpc::obs::prof::scope(root);
+    run();
+    drop(frame);
+    let profile = rvhpc::obs::prof::snapshot();
+    assert_eq!(profile.interval, 1, "every frame close must be sampled");
+    let key = format!("{root};engine.execute;isa.characterize");
+    profile.stacks.get(&key).copied().unwrap_or(0)
+}
+
+/// Each group of keys that differ only in cache geometry is interpreted
+/// exactly once per plan execution, observed through the
+/// `isa.characterize` profiler frame of a serial execution.
+#[test]
+fn each_group_is_interpreted_once_per_execution() {
+    let plan = what_if_grid();
+    let keys: Vec<CharKey> = plan
+        .queries()
+        .iter()
+        .filter_map(|q| match q.backend {
+            Backend::Isa(ext) => {
+                isa_backend::char_key(q.bench, &q.scenario(&plan.machine_of(q)), ext)
+            }
+            Backend::Profile => None,
+        })
+        .collect();
+    let groups = keys
+        .iter()
+        .enumerate()
+        .filter(|&(i, k)| !keys[..i].iter().any(|e| e.interprets_like(k)))
+        .count() as u64;
+    let distinct: std::collections::HashSet<CharKey> = keys.iter().copied().collect();
+    assert!(
+        groups < distinct.len() as u64,
+        "the grid must hold keys that share an interpretation"
+    );
+
+    rvhpc::obs::prof::set_profiling(true);
+    let engine = Engine::new();
+    let cold = interpretations("isa_backend.cold", || {
+        engine.execute_with_jobs(&plan, 1);
+    });
+    let warm = interpretations("isa_backend.warm", || {
+        engine.execute_with_jobs(&plan, 1);
+    });
+    let fresh = interpretations("isa_backend.fresh", || {
+        Engine::new().execute_with_jobs(&plan, 1);
+    });
+    rvhpc::obs::prof::set_profiling(false);
+    assert_eq!(cold, groups, "one interpretation per group");
+    assert_eq!(warm, 0, "a warm engine interprets nothing");
+    assert_eq!(fresh, groups, "no characterization outlives an execution");
 }
 
 /// Profile and ISA backends memoize independently: same grid point,
