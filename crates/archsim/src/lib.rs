@@ -33,8 +33,10 @@
 //!   TLB-thrash signature (standalone; its average effect is inside the
 //!   calibrated constants).
 //! * [`replay`] — the trace-consuming front door for the instruction-level
-//!   backend (`rvhpc-isa`): routes decoded-instruction trace events into
-//!   the per-thread cache/TLB models plus a deterministic branch predictor.
+//!   backend (`rvhpc-isa`): the deterministic branch predictor its kernel
+//!   characterization uses, and a consumer that replays recorded
+//!   decoded-instruction trace events through the per-thread cache/TLB
+//!   models as well.
 
 pub mod cache;
 pub mod counters;

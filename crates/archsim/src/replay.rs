@@ -1,9 +1,12 @@
-//! Trace-consuming front door next to `simulate`: the instruction-level
-//! backend (`rvhpc-isa`) interprets real RV64 code and streams
-//! [`TraceEvent`]s here, where they drive the same per-thread cache/TLB
-//! models used by the stream replays, plus a deterministic 2-bit branch
-//! predictor. The resulting [`ReplayStats`] characterise a kernel at
-//! instruction granularity without any wall-clock or randomness.
+//! Trace-consuming front door next to `simulate`: a [`TraceConsumer`]
+//! replays a stream of [`TraceEvent`]s from an instruction-level frontend
+//! (`rvhpc-isa`'s interpreter) through the same per-thread cache/TLB
+//! models the stream replays use, plus a deterministic 2-bit branch
+//! predictor. The resulting [`ReplayStats`] characterise a trace at
+//! instruction granularity without any wall-clock or randomness. Kernel
+//! characterization does not replay caches; it shares only the
+//! [`BranchPredictor`]. The consumer's callers are the end-to-end
+//! benchmark's replay-throughput pass and tests.
 
 use crate::cache::CacheStats;
 use crate::counters::HierarchyCounters;
@@ -107,15 +110,12 @@ impl ReplayStats {
     }
 }
 
-/// Consumes a trace-event stream into per-thread cache hierarchies, the
+/// Consumes a trace-event stream into the per-thread cache hierarchy, the
 /// L1 dTLB model, and a branch predictor. One consumer models one hardware
-/// thread under one or more cache geometries at once: the TLB, predictor
-/// and event counts depend on no geometry and are kept once, while every
-/// memory event also drives one [`TraceHierarchy`] per geometry. Equal
-/// geometries replay a trace to equal [`ReplayStats`], whether or not they
-/// share a consumer.
+/// thread; the cache geometry is its only parameter, so equal geometries
+/// replay a trace to equal [`ReplayStats`].
 pub struct TraceConsumer {
-    hiers: Vec<TraceHierarchy>,
+    hier: TraceHierarchy,
     tlb: Tlb,
     predictor: BranchPredictor,
     instret: u64,
@@ -127,12 +127,10 @@ pub struct TraceConsumer {
 }
 
 impl TraceConsumer {
-    /// A consumer replaying into one hierarchy per entry of `geometries`
-    /// (at least one), in order.
-    pub fn with_geometries(geometries: &[HierarchyGeometry]) -> Self {
-        assert!(!geometries.is_empty(), "a consumer needs a geometry");
+    /// A consumer whose caches have `geometry`.
+    pub fn new(geometry: &HierarchyGeometry) -> Self {
         TraceConsumer {
-            hiers: geometries.iter().map(TraceHierarchy::new).collect(),
+            hier: TraceHierarchy::new(geometry),
             tlb: Tlb::typical_l1_dtlb(),
             predictor: BranchPredictor::new(1024),
             instret: 0,
@@ -144,19 +142,14 @@ impl TraceConsumer {
         }
     }
 
-    /// A consumer whose caches have `geometry`.
-    pub fn new(geometry: &HierarchyGeometry) -> Self {
-        Self::with_geometries(std::slice::from_ref(geometry))
-    }
-
     /// One thread of `threads` on `machine`, sharing L2/L3 capacity the
     /// same way the stream replays do.
     pub fn for_thread(machine: &Machine, threads: u32) -> Self {
         Self::new(&HierarchyGeometry::for_thread(machine, threads))
     }
 
-    /// Replay one event. Inlined into the per-event tracer hooks of other
-    /// crates, where the event kind is usually a constant.
+    /// Replay one event. Inlined across crates, since callers replay
+    /// whole traces event by event.
     #[inline]
     pub fn consume(&mut self, ev: TraceEvent) {
         match ev {
@@ -184,20 +177,10 @@ impl TraceConsumer {
 
     fn mem(&mut self, addr: u64) {
         self.tlb.access(addr);
-        for hier in &mut self.hiers {
-            hier.access(addr);
-        }
+        self.hier.access(addr);
     }
 
-    /// The statistics under the first geometry: the only one of a consumer
-    /// built by [`TraceConsumer::new`] or [`TraceConsumer::for_thread`].
     pub fn stats(&self) -> ReplayStats {
-        self.geometry_stats(0)
-    }
-
-    /// The statistics under the `i`-th geometry given to
-    /// [`TraceConsumer::with_geometries`].
-    pub fn geometry_stats(&self, i: usize) -> ReplayStats {
         ReplayStats {
             instret: self.instret,
             loads: self.loads,
@@ -207,7 +190,7 @@ impl TraceConsumer {
             vector_ops: self.vector_ops,
             vector_elems: self.vector_elems,
             gather_ops: self.gather_ops,
-            hierarchy: self.hiers[i].counters(),
+            hierarchy: self.hier.counters(),
             tlb: self.tlb.stats(),
         }
     }
@@ -247,76 +230,5 @@ mod tests {
             c.stats()
         };
         assert_eq!(run(), run());
-    }
-
-    /// A deterministic stream with loads, stores, branches, vector ops
-    /// and retires over a 3 MiB footprint: past every L1 and L2 share,
-    /// inside some L3 shares.
-    fn recorded_stream() -> Vec<TraceEvent> {
-        let mut x = 0x2545_f491_4f6c_dd1du64;
-        let mut events = Vec::new();
-        for i in 0..60_000u64 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let offset = match i % 3 {
-                0 => (i * 8) % (3 << 20),
-                1 => (x >> 20) % (3 << 20),
-                _ => (i * 4160) % (1 << 20),
-            };
-            let addr = 0x10_0000 + offset;
-            events.push(TraceEvent::Retire);
-            events.push(if x & 0x300 == 0 {
-                TraceEvent::Store { addr, bytes: 8 }
-            } else {
-                TraceEvent::Load { addr, bytes: 8 }
-            });
-            if i % 5 == 0 {
-                events.push(TraceEvent::Branch {
-                    pc: 0x1000 + (i % 40) * 4,
-                    taken: x & 0x7 != 0,
-                });
-            }
-            if i % 11 == 0 {
-                events.push(TraceEvent::Vector {
-                    elems: 4,
-                    gather: i % 22 == 0,
-                });
-            }
-        }
-        events
-    }
-
-    #[test]
-    fn fan_out_matches_independent_consumers_per_geometry() {
-        use rvhpc_machines::presets;
-        let sg2044 = HierarchyGeometry::for_thread(&presets::sg2044(), 16);
-        let geometries = [
-            sg2044,
-            HierarchyGeometry::for_thread(&presets::banana_pi_f3(), 8),
-            HierarchyGeometry::for_thread(&presets::xeon8170(), 1),
-            sg2044,
-            HierarchyGeometry::for_thread(&presets::sg2044(), 1),
-        ];
-        assert!(geometries[1].l3.is_none(), "the X60 has no L3");
-        let l3 = geometries[2].l3.expect("the Xeon 8170 has an L3");
-        assert!(!l3.sets.is_power_of_two(), "{l3:?}");
-
-        let events = recorded_stream();
-        let mut fan_out = TraceConsumer::with_geometries(&geometries);
-        for &ev in &events {
-            fan_out.consume(ev);
-        }
-        for (i, geometry) in geometries.iter().enumerate() {
-            let mut single = TraceConsumer::new(geometry);
-            for &ev in &events {
-                single.consume(ev);
-            }
-            assert_eq!(fan_out.geometry_stats(i), single.stats(), "geometry {i}");
-        }
-        let dram = |i: usize| fan_out.geometry_stats(i).hierarchy.dram;
-        assert_ne!(dram(0), dram(1), "geometries must replay differently");
-        assert_eq!(fan_out.geometry_stats(0), fan_out.geometry_stats(3));
-        assert_eq!(fan_out.stats(), fan_out.geometry_stats(0));
     }
 }

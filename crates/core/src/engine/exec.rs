@@ -9,9 +9,8 @@
 //! on. Results come back in plan order, so rendering is byte-identical
 //! to a serial evaluation regardless of the worker count. Within one
 //! execution, instruction-level misses share kernel characterizations: a
-//! pre-pass characterizes the distinct [`CharKey`]s of the plan's misses,
-//! interpreting each kernel once per group of keys that differ only in
-//! cache geometry, and the characters are dropped when the call returns.
+//! pre-pass characterizes each distinct [`CharKey`] of the plan's misses
+//! once, and the characters are dropped when the call returns.
 //!
 //! Parallelism is controlled by, in priority order: an explicit
 //! `execute_with_jobs` argument, [`set_default_jobs`] (the `--jobs` CLI
@@ -24,7 +23,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
-use rvhpc_isa::{characterize_key, characterize_keys, CharKey, KernelCharacter};
+use rvhpc_isa::{characterize_key, CharKey, KernelCharacter};
 use rvhpc_npb::profile::WorkloadProfile;
 use rvhpc_npb::{BenchmarkId, Class};
 use rvhpc_obs::{EventKind, JsonValue, TraceCtx};
@@ -37,10 +36,9 @@ use crate::isa_backend;
 use crate::model::{predict, Prediction, Scenario};
 
 /// Kernel characters computed for one plan execution, by key. Many
-/// what-if machines share a key (clock, memory and core timing never
-/// reach it), and keys that differ only in cache geometry share one
-/// interpretation ([`group_keys`]). The map is dropped when the execution
-/// returns: nothing outlives a plan.
+/// what-if machines share a key (cache geometry, thread count, clock,
+/// memory and core timing never reach it). The map is dropped when the
+/// execution returns: nothing outlives a plan.
 type Characters = HashMap<CharKey, KernelCharacter>;
 
 /// Evaluate one query's prediction with its selected backend. Both the
@@ -69,20 +67,6 @@ fn char_key(q: &Query, scenario: &Scenario) -> Option<CharKey> {
         Backend::Isa(ext) => isa_backend::char_key(q.bench, scenario, ext),
         Backend::Profile => None,
     }
-}
-
-/// The distinct `keys`, in first-seen order, grouped by
-/// [`CharKey::interprets_like`]: each group is one interpretation.
-fn group_keys(keys: impl IntoIterator<Item = CharKey>) -> Vec<Vec<CharKey>> {
-    let mut groups: Vec<Vec<CharKey>> = Vec::new();
-    for key in keys {
-        match groups.iter_mut().find(|g| g[0].interprets_like(&key)) {
-            Some(group) if group.contains(&key) => {}
-            Some(group) => group.push(key),
-            None => groups.push(vec![key]),
-        }
-    }
-    groups
 }
 
 /// `f(0), …, f(n - 1)`, in order: on `pool` when one is given (its
@@ -571,18 +555,18 @@ impl Engine {
         let pool = pool.or(ephemeral.as_ref());
 
         // First the kernel characters the ISA misses read: one
-        // interpretation per group of keys that differ only in geometry.
-        let groups = group_keys(misses.iter().filter_map(|&i| {
+        // interpretation per distinct key, in first-seen order.
+        let mut keys: Vec<CharKey> = Vec::new();
+        for &i in &misses {
             let q = &uniques[i].1;
-            char_key(q, &q.scenario(&plan.machine_of(q)))
-        }));
-        let chars: Characters = map_on(pool, trace_id, groups.len(), |g| {
-            characterize_keys(&groups[g])
-        })
-        .into_iter()
-        .zip(&groups)
-        .flat_map(|(characters, keys)| keys.iter().copied().zip(characters))
-        .collect();
+            if let Some(key) = char_key(q, &q.scenario(&plan.machine_of(q))) {
+                if !keys.contains(&key) {
+                    keys.push(key);
+                }
+            }
+        }
+        let characters = map_on(pool, trace_id, keys.len(), |k| characterize_key(&keys[k]));
+        let chars: Characters = keys.iter().copied().zip(characters).collect();
 
         let computed = map_on(pool, trace_id, misses.len(), |k| {
             let (key, q) = &uniques[misses[k]];

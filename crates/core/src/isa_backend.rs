@@ -3,8 +3,8 @@
 //! Where the profile backend feeds *analytic* instruction/branch/reference
 //! counts into [`crate::model::predict`], this backend *measures* them: it
 //! assembles an NPB-shaped kernel for the query's extension set, runs it
-//! through the `rvhpc-isa` decode → CFG → interpret pipeline with trace
-//! events replayed into the archsim cache/TLB/branch models
+//! through the `rvhpc-isa` decode → CFG → interpret pipeline with its
+//! branches fed to archsim's branch predictor
 //! ([`rvhpc_isa::characterize_key`]), and scales the measured per-element
 //! character up to class size inside a synthesized single-phase
 //! [`WorkloadProfile`]. The same timing model then prices both backends,
@@ -24,11 +24,11 @@
 //! `Backend::Isa` is total over the query grid.
 //!
 //! A kernel's character depends only on its [`CharKey`] (kernel,
-//! extension set, VLEN, per-thread cache geometry), never on clock,
-//! memory or core timing. [`char_key`] names a query's key and
-//! [`predict_isa_via`] prices it from a character computed elsewhere, so
-//! the engine characterizes a plan's keys up front — one interpretation
-//! per group of keys that differ only in geometry — and shares them.
+//! extension set, VLEN), never on cache geometry, thread count, clock,
+//! memory or core timing; the timing model prices caches analytically.
+//! [`char_key`] names a query's key and [`predict_isa_via`] prices it from
+//! a character computed elsewhere, so the engine characterizes a plan's
+//! distinct keys up front — one interpretation each — and shares them.
 
 use std::borrow::Borrow;
 
@@ -194,12 +194,7 @@ pub fn predict_isa(profile: &WorkloadProfile, scenario: &Scenario<'_>, ext: IsaE
 pub fn char_key(bench: BenchmarkId, scenario: &Scenario<'_>, ext: IsaExt) -> Option<CharKey> {
     let kernel = kernel_for(bench)?;
     let ext = effective_ext(ext, scenario);
-    Some(CharKey::new(
-        kernel,
-        scenario.machine,
-        scenario.threads,
-        ext,
-    ))
+    Some(CharKey::new(kernel, scenario.machine, ext))
 }
 
 /// [`predict_isa`] with the characterization supplied by `characterize`,

@@ -1,26 +1,22 @@
 //! Kernel characterisation: assemble → decode → CFG → interpret a kernel
-//! with trace events routed into the archsim replay models, yielding a
-//! deterministic instruction-granularity [`KernelCharacter`] that the core
-//! engine's `Backend::Isa` prediction path consumes.
+//! with its conditional branches fed to a 2-bit branch predictor, yielding
+//! a deterministic instruction-granularity [`KernelCharacter`] that the
+//! core engine's `Backend::Isa` prediction path consumes. Cache behaviour
+//! is not replayed here: the core engine prices it with its analytic
+//! hierarchy model.
 //!
 //! A character is a pure function of its [`CharKey`]: the kernel, the
-//! extension set, whether RVV is emitted, the VLEN and the per-thread
-//! cache geometry. Clock, memory and core-timing fields of a machine never
+//! extension set, whether RVV is emitted and the VLEN. Cache geometry,
+//! thread count, clock, memory and core-timing fields of a machine never
 //! reach it, so callers that price many machines can characterize each
-//! distinct key once and share the result. Only the cache replay reads the
-//! geometry: [`characterize_keys`] interprets a kernel once for every key
-//! that differs only there, fanning the events out to one hierarchy per
-//! geometry without storing a trace.
+//! distinct key once and share the result.
 
 use crate::cfg::build_cfg;
 use crate::interp::run;
-use crate::ir::{ExtSet, Instr};
+use crate::ir::ExtSet;
 use crate::kernels::{build, KernelId, MAX_STEPS};
 use crate::trace::Tracer;
-use rvhpc_archsim::cache::CacheStats;
-use rvhpc_archsim::counters::HierarchyCounters;
-use rvhpc_archsim::replay::{TraceConsumer, TraceEvent};
-use rvhpc_archsim::HierarchyGeometry;
+use rvhpc_archsim::replay::BranchPredictor;
 use rvhpc_machines::Machine;
 
 /// The ablatable extension dimensions of the instruction-level backend.
@@ -73,8 +69,8 @@ impl Default for IsaExt {
 }
 
 /// Everything the prediction backend needs to know about one kernel run:
-/// architectural counts from the interpreter plus microarchitectural counts
-/// from the replay models.
+/// architectural counts from the interpreter plus the branch predictor's
+/// mispredicts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelCharacter {
     pub kernel: KernelId,
@@ -92,17 +88,11 @@ pub struct KernelCharacter {
     pub mispredicts: u64,
     pub vector_ops: u64,
     pub vector_elems: u64,
-    pub gather_ops: u64,
     /// Static code properties.
     pub static_instrs: usize,
     pub compressed_instrs: usize,
     pub cfg_blocks: usize,
     pub cfg_edges: usize,
-    /// Measured cache-hierarchy service counts for the kernel's (small)
-    /// working set — a cross-check against the analytic hierarchy, not a
-    /// class-scale measurement.
-    pub hierarchy: HierarchyCounters,
-    pub tlb: CacheStats,
 }
 
 impl KernelCharacter {
@@ -133,31 +123,15 @@ impl KernelCharacter {
     }
 }
 
-/// Tracer adapter: forwards interpreter hooks into a [`TraceConsumer`].
-struct ReplayTracer<'a> {
-    consumer: &'a mut TraceConsumer,
-}
+/// Entries of the characterization's branch predictor: the size archsim's
+/// `TraceConsumer` uses, so a character's mispredicts equal a full trace
+/// replay's.
+const PREDICTOR_ENTRIES: usize = 1024;
 
-impl Tracer for ReplayTracer<'_> {
-    fn retire(&mut self, _pc: u64, _instr: &Instr) {
-        self.consumer.consume(TraceEvent::Retire);
-    }
-
-    fn mem(&mut self, addr: u64, bytes: u8, is_store: bool) {
-        let ev = if is_store {
-            TraceEvent::Store { addr, bytes }
-        } else {
-            TraceEvent::Load { addr, bytes }
-        };
-        self.consumer.consume(ev);
-    }
-
+/// Characterization traces only conditional branches, into the predictor.
+impl Tracer for BranchPredictor {
     fn branch(&mut self, pc: u64, taken: bool) {
-        self.consumer.consume(TraceEvent::Branch { pc, taken });
-    }
-
-    fn vector(&mut self, elems: u32, gather: bool) {
-        self.consumer.consume(TraceEvent::Vector { elems, gather });
+        self.predict_and_update(pc, taken);
     }
 }
 
@@ -173,13 +147,11 @@ pub struct CharKey {
     rvv_active: bool,
     /// Vector register width the kernel is built for (128 when RVV is off).
     vlen: u32,
-    /// The cache geometry one thread sees.
-    geometry: HierarchyGeometry,
 }
 
 impl CharKey {
-    /// The key of `kernel` run by one of `threads` threads on `machine`.
-    pub fn new(kernel: KernelId, machine: &Machine, threads: u32, ext: IsaExt) -> Self {
+    /// The key of `kernel` run on `machine`.
+    pub fn new(kernel: KernelId, machine: &Machine, ext: IsaExt) -> Self {
         let rvv_active = ext.rvv && machine.vector.is_rvv();
         let vlen = if rvv_active {
             machine.vector.width_bits().max(64)
@@ -191,112 +163,90 @@ impl CharKey {
             ext,
             rvv_active,
             vlen,
-            geometry: HierarchyGeometry::for_thread(machine, threads.max(1)),
         }
-    }
-
-    /// Whether `self` and `other` run the same program — equal kernel,
-    /// extensions and VLEN — and so differ at most in cache geometry:
-    /// one interpretation characterizes both ([`characterize_keys`]).
-    pub fn interprets_like(&self, other: &CharKey) -> bool {
-        (self.kernel, self.ext, self.rvv_active, self.vlen)
-            == (other.kernel, other.ext, other.rvv_active, other.vlen)
     }
 }
 
 /// Run the full pipeline for one kernel on one machine and return its
-/// character: [`characterize_key`] of the machine's [`CharKey`].
+/// character: [`characterize_key`] of the machine's [`CharKey`]. `threads`
+/// does not reach the character, since no cache is replayed; the parameter
+/// is kept only because the end-to-end benchmark's layer pass
+/// (`e2ebench/src/layers.rs`) calls this signature.
 pub fn characterize(
     kernel: KernelId,
     machine: &Machine,
-    threads: u32,
+    _threads: u32,
     ext: IsaExt,
 ) -> KernelCharacter {
-    characterize_key(&CharKey::new(kernel, machine, threads, ext))
+    characterize_key(&CharKey::new(kernel, machine, ext))
 }
 
-/// Run the full pipeline for one key: [`characterize_keys`] of a one-key
-/// group.
+/// Run the full pipeline for one key: build, decode, build the CFG and
+/// interpret the kernel once, with its branches fed to the predictor.
+/// Deterministic: equal keys give equal characters. Panics if the kernel
+/// traps or produces wrong results — both indicate a backend bug, never a
+/// data-dependent condition.
 pub fn characterize_key(key: &CharKey) -> KernelCharacter {
-    characterize_keys(std::slice::from_ref(key))
-        .pop()
-        .expect("one character per key")
-}
-
-/// Characterize a group of keys that all [interpret
-/// alike](CharKey::interprets_like), returning one character per key in
-/// order. The kernel is built, decoded and interpreted once; its events go
-/// live to one shared TLB and branch predictor and to one cache hierarchy
-/// per distinct geometry, so no trace is stored. Deterministic: each
-/// character equals the one its key gets alone, whatever the group. Panics
-/// on a mixed group, or if the kernel traps or produces wrong results —
-/// the latter two indicate a backend bug, never a data-dependent condition.
-pub fn characterize_keys(keys: &[CharKey]) -> Vec<KernelCharacter> {
-    let Some(first) = keys.first() else {
-        return Vec::new();
-    };
-    assert!(
-        keys.iter().all(|k| k.interprets_like(first)),
-        "characterize_keys needs keys that differ only in cache geometry"
-    );
     let _prof = rvhpc_obs::prof::scope("isa.characterize");
-    let mut geometries: Vec<HierarchyGeometry> = Vec::new();
-    let slots: Vec<usize> = keys
-        .iter()
-        .map(|k| match geometries.iter().position(|g| *g == k.geometry) {
-            Some(slot) => slot,
-            None => {
-                geometries.push(k.geometry);
-                geometries.len() - 1
-            }
-        })
-        .collect();
-
-    let kernel = first.kernel;
-    let ext_set = first.ext.to_ext_set(first.rvv_active);
-    let built = build(kernel, &ext_set, first.vlen);
+    let kernel = key.kernel;
+    let ext_set = key.ext.to_ext_set(key.rvv_active);
+    let built = build(kernel, &ext_set, key.vlen);
     let prog = built.decode(&ext_set);
     let cfg = build_cfg(&prog);
 
-    let mut consumer = TraceConsumer::with_geometries(&geometries);
+    let mut predictor = BranchPredictor::new(PREDICTOR_ENTRIES);
     let mut cpu = built.cpu.clone();
-    let stats = {
-        let mut tracer = ReplayTracer {
-            consumer: &mut consumer,
-        };
-        run(&mut cpu, &prog, &mut tracer, MAX_STEPS)
-            .unwrap_or_else(|t| panic!("kernel {} trapped: {t}", kernel.name()))
-    };
+    let stats = run(&mut cpu, &prog, &mut predictor, MAX_STEPS)
+        .unwrap_or_else(|t| panic!("kernel {} trapped: {t}", kernel.name()));
     built
         .verify(&cpu)
         .unwrap_or_else(|e| panic!("kernel {} verification failed: {e}", kernel.name()));
+    debug_assert_eq!(predictor.branches(), stats.branches);
 
-    slots
-        .into_iter()
-        .map(|slot| {
-            let replay = consumer.geometry_stats(slot);
-            debug_assert_eq!(replay.instret, stats.instret);
-            KernelCharacter {
-                kernel,
-                ext: first.ext,
-                rvv_active: first.rvv_active,
-                elems: built.elems,
-                flops_per_elem: built.flops_per_elem,
-                instret: stats.instret,
-                loads: stats.loads,
-                stores: stats.stores,
-                branches: stats.branches,
-                mispredicts: replay.mispredicts,
-                vector_ops: stats.vector_ops,
-                vector_elems: stats.vector_elems,
-                gather_ops: replay.gather_ops,
-                static_instrs: prog.instrs.len(),
-                compressed_instrs: prog.compressed_count(),
-                cfg_blocks: cfg.block_count(),
-                cfg_edges: cfg.edge_count(),
-                hierarchy: replay.hierarchy,
-                tlb: replay.tlb,
-            }
-        })
-        .collect()
+    KernelCharacter {
+        kernel,
+        ext: key.ext,
+        rvv_active: key.rvv_active,
+        elems: built.elems,
+        flops_per_elem: built.flops_per_elem,
+        instret: stats.instret,
+        loads: stats.loads,
+        stores: stats.stores,
+        branches: stats.branches,
+        mispredicts: predictor.mispredicts(),
+        vector_ops: stats.vector_ops,
+        vector_elems: stats.vector_elems,
+        static_instrs: prog.instrs.len(),
+        compressed_instrs: prog.compressed_count(),
+        cfg_blocks: cfg.block_count(),
+        cfg_edges: cfg.edge_count(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rvhpc_archsim::replay::{TraceConsumer, TraceEvent};
+
+    /// The kernels' few branches sit within a hundred bytes, where no
+    /// predictor size aliases; this stream spreads branches over 16 KiB so
+    /// that any other table size mispredicts differently.
+    #[test]
+    fn branch_tracing_predicts_like_a_trace_replay() {
+        let mut predictor = BranchPredictor::new(PREDICTOR_ENTRIES);
+        let mut consumer = TraceConsumer::for_thread(&rvhpc_machines::presets::sg2044(), 1);
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..50_000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let pc = 0x1_0000 + ((x >> 33) % 8192) * 2;
+            let taken = !(pc >> 1).is_multiple_of(3) || x & 0xf == 0;
+            Tracer::branch(&mut predictor, pc, taken);
+            consumer.consume(TraceEvent::Branch { pc, taken });
+        }
+        let reference = consumer.stats();
+        assert_eq!(predictor.branches(), reference.branches);
+        assert_eq!(predictor.mispredicts(), reference.mispredicts);
+    }
 }

@@ -489,8 +489,9 @@ fn step<T: Tracer + ?Sized>(
             let avl = rs1;
             cpu.vl = avl.min(vlmax);
             cpu.set_x(i.rd, cpu.vl);
+            // A vector op that configures vl but touches no lanes.
             stats.vector_ops += 1;
-            tracer.vector(cpu.vl as u32, false);
+            tracer.vector(0, false);
         }
         Op::Vle64 => {
             let vl = cpu.vl;

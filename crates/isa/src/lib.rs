@@ -6,9 +6,9 @@
 //! trace-driven prediction backend next to the profile-driven one: synthetic
 //! NPB-shaped kernels (STREAM triad, CG SpMV inner loop, MG residual
 //! stencil, EP accumulate) are assembled as real RV64IMAC+Zba/Zbb (+ minimal
-//! RVV) machine code, decoded, and interpreted while every memory access,
-//! conditional branch, and vector op streams into the archsim cache / TLB /
-//! branch-predictor models.
+//! RVV) machine code, decoded, and interpreted while every conditional
+//! branch feeds archsim's branch predictor. Cache behaviour is left to the
+//! core timing model's analytic hierarchy.
 //!
 //! The paper can only ablate extensions through compiler flags (§6); this
 //! backend ablates them at instruction granularity: building a kernel
@@ -40,9 +40,7 @@ pub mod ir;
 pub mod kernels;
 pub mod trace;
 
-pub use backend::{
-    characterize, characterize_key, characterize_keys, CharKey, IsaExt, KernelCharacter,
-};
+pub use backend::{characterize, characterize_key, CharKey, IsaExt, KernelCharacter};
 pub use cfg::{build_cfg, BasicBlock, Cfg};
 pub use decode::{decode, decode_compressed, decode_program, DecodedProgram};
 pub use encode::Asm;

@@ -1,7 +1,8 @@
 //! rvr-style tracer hooks: the interpreter calls into a [`Tracer`] for every
 //! retired instruction, memory access, conditional branch, and vector op.
-//! Implementations route these events into the archsim cache/TLB/branch
-//! models (see `rvhpc-archsim`'s `replay` module) or simply count them.
+//! Implementations consume what they need: characterization feeds only the
+//! branches to a predictor, while a recorder can keep every event for a
+//! full replay through `rvhpc-archsim`'s `replay` module.
 
 use crate::ir::Instr;
 

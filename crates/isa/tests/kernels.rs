@@ -226,10 +226,7 @@ fn characterization_is_deterministic() {
     let m = rvhpc_machines::presets::sg2044();
     let a = characterize(KernelId::Spmv, &m, 8, IsaExt::full());
     let b = characterize(KernelId::Spmv, &m, 8, IsaExt::full());
-    assert_eq!(a.instret, b.instret);
-    assert_eq!(a.mispredicts, b.mispredicts);
-    assert_eq!(a.hierarchy, b.hierarchy);
-    assert_eq!(a.tlb, b.tlb);
+    assert_eq!(a, b);
 }
 
 #[test]

@@ -66,9 +66,8 @@ fn ablations() -> [IsaExt; 4] {
 /// (clock, memory and core fields moved; two VLENs) crossed with the
 /// mapped benchmarks and two thread counts, under every extension
 /// ablation, then with vectorization off, then under the profile backend.
-/// Pairs of machines differ only outside the characterization key, so keys
-/// are shared across queries, and thread counts move only the geometry, so
-/// one interpretation serves several keys.
+/// Pairs of machines differ only outside the characterization key, and
+/// thread counts never reach it, so keys are shared across queries.
 fn what_if_grid() -> Plan {
     let mut plan = Plan::new();
     let mut sels = Vec::new();
@@ -149,9 +148,9 @@ fn bits(predictions: &[std::sync::Arc<rvhpc::eval::Prediction>]) -> Vec<(u64, u6
 }
 
 /// The engine characterizes a plan's keys once, one interpretation per
-/// group; the result must be bit-identical to pricing every query on its
+/// distinct key; the result must be bit-identical to pricing every query on its
 /// own with the uncached backend, at any worker count, on an ephemeral or
-/// a persistent pool, and for a plan of one ISA query (a one-key group).
+/// a persistent pool, and for a plan of one ISA query.
 #[test]
 fn shared_characterizations_match_uncached_predictions_bit_for_bit() {
     let grid = what_if_grid();
@@ -188,13 +187,13 @@ fn interpretations(root: &'static str, run: impl FnOnce()) -> u64 {
     profile.stacks.get(&key).copied().unwrap_or(0)
 }
 
-/// Each group of keys that differ only in cache geometry is interpreted
-/// exactly once per plan execution, observed through the
-/// `isa.characterize` profiler frame of a serial execution.
+/// Each distinct characterization key is interpreted exactly once per plan
+/// execution, observed through the `isa.characterize` profiler frame of a
+/// serial execution.
 #[test]
-fn each_group_is_interpreted_once_per_execution() {
+fn each_key_is_interpreted_once_per_execution() {
     let plan = what_if_grid();
-    let keys: Vec<CharKey> = plan
+    let keys: std::collections::HashSet<CharKey> = plan
         .queries()
         .iter()
         .filter_map(|q| match q.backend {
@@ -204,15 +203,15 @@ fn each_group_is_interpreted_once_per_execution() {
             Backend::Profile => None,
         })
         .collect();
-    let groups = keys
+    let distinct = keys.len() as u64;
+    let isa_queries = plan
+        .queries()
         .iter()
-        .enumerate()
-        .filter(|&(i, k)| !keys[..i].iter().any(|e| e.interprets_like(k)))
+        .filter(|q| matches!(q.backend, Backend::Isa(_)))
         .count() as u64;
-    let distinct: std::collections::HashSet<CharKey> = keys.iter().copied().collect();
     assert!(
-        groups < distinct.len() as u64,
-        "the grid must hold keys that share an interpretation"
+        distinct < isa_queries,
+        "the grid must hold queries that share a key"
     );
 
     rvhpc::obs::prof::set_profiling(true);
@@ -227,9 +226,9 @@ fn each_group_is_interpreted_once_per_execution() {
         Engine::new().execute_with_jobs(&plan, 1);
     });
     rvhpc::obs::prof::set_profiling(false);
-    assert_eq!(cold, groups, "one interpretation per group");
+    assert_eq!(cold, distinct, "one interpretation per distinct key");
     assert_eq!(warm, 0, "a warm engine interprets nothing");
-    assert_eq!(fresh, groups, "no characterization outlives an execution");
+    assert_eq!(fresh, distinct, "no characterization outlives an execution");
 }
 
 /// Profile and ISA backends memoize independently: same grid point,
