@@ -1,13 +1,13 @@
 //! The curated benchmark suite behind `reproduce bench`.
 //!
-//! Unlike the criterion targets, this harness is built for a *committed
-//! trajectory*: deterministic iteration counts (fixed per target and
-//! mode, never adaptive), monotonic-clock timing of every iteration,
-//! and exact wall statistics — so two documents from the same machine
-//! differ only by genuine performance change plus scheduler noise, and
-//! `obsdiff` can gate the difference.
+//! The harness is built for a *committed trajectory*: deterministic
+//! iteration counts (fixed per target and mode, never adaptive),
+//! monotonic-clock timing of every iteration, and exact wall statistics
+//! — so two documents from the same machine differ only by genuine
+//! performance change plus scheduler noise, and `obsdiff` can gate the
+//! difference.
 //!
-//! The suite covers the three layers every perf PR touches:
+//! The suite covers the four layers every perf PR touches:
 //!
 //! * **host kernels** — STREAM triad, CG SpMV, MG residual, IS ranking:
 //!   the real Rust kernels the paper's tables are calibrated against.
@@ -24,9 +24,9 @@
 //! attach the stall summary — barrier waits, chunk acquisitions, region
 //! spans — to their section of the document.
 //!
-//! Quick mode (`--quick` / `RVHPC_BENCH_QUICK`) shrinks iteration
-//! counts only, never working-set sizes, so per-iteration wall times
-//! stay comparable between a quick CI run and a full baseline.
+//! Quick mode (`reproduce bench --quick`) shrinks iteration counts only,
+//! never working-set sizes, so per-iteration wall times stay comparable
+//! between a quick CI run and a full baseline.
 
 use std::time::Instant;
 
@@ -57,7 +57,7 @@ impl Default for HarnessConfig {
             .map(|n| n.get())
             .unwrap_or(1);
         Self {
-            quick: crate::quick_mode(),
+            quick: false,
             filter: None,
             // The curated kernels are bandwidth-bound well before 4
             // threads; a fixed small pool keeps stall attribution
@@ -171,7 +171,7 @@ fn stall_snapshot(iterations: usize, mut f: impl FnMut()) -> JsonValue {
 
 /// The deterministic query grid shared by the engine targets — the same
 /// shape the serve load generator replays.
-pub fn grid_plan(n: usize) -> Plan {
+fn grid_plan(n: usize) -> Plan {
     const THREADS: [u32; 4] = [1, 8, 32, 64];
     let mut plan = Plan::new();
     for k in 0..n {

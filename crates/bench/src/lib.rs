@@ -1,62 +1,12 @@
-//! Shared helpers for the rvhpc benchmark harness.
+//! The curated rvhpc benchmark suite.
 //!
-//! Every paper table/figure has a criterion bench target that (a) prints
-//! the regenerated rows/series next to the paper's published values and
-//! (b) times the regeneration under criterion so model-performance
-//! regressions are visible. Host benches (`host_*`) time the real Rust
-//! kernels; `ablation_*` benches compare the design choices DESIGN.md §6
-//! calls out.
-//!
-//! Alongside the criterion targets, [`harness`] runs the *curated* bench
-//! suite without criterion's process model — deterministic iteration
-//! counts, monotonic-clock timing, exact min/median/p99 per target — and
+//! [`harness`] runs the suite — deterministic iteration counts,
+//! monotonic-clock timing, exact min/median/p99 per target — and
 //! [`record`] turns a run into a versioned `rvhpc-bench/1` document
 //! (`results/BENCH_<n>.json`) plus rvr-style markdown tables. That is
 //! the committed benchmark trajectory `reproduce bench` appends to and
-//! `obsdiff` gates in CI.
-
-use criterion::Criterion;
+//! `obsdiff` gates in CI. Paper tables and figures are regenerated by
+//! `reproduce tableN|figN|extensions`, not here.
 
 pub mod harness;
 pub mod record;
-
-/// Environment variable that switches both the criterion targets and the
-/// curated harness into quick mode (any non-empty value other than `0`).
-/// CI sets it so bench smoke runs stay cheap; `reproduce bench --quick`
-/// is the explicit spelling.
-pub const QUICK_ENV: &str = "RVHPC_BENCH_QUICK";
-
-/// Whether quick mode is requested via [`QUICK_ENV`].
-pub fn quick_mode() -> bool {
-    std::env::var(QUICK_ENV)
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false)
-}
-
-/// Criterion tuned for this harness: the interesting output is the
-/// printed table; the timing guards against regressions. Sample count
-/// and measurement time are aligned so each sample gets a meaningful
-/// slice of the budget (100 ms full, 40 ms quick) — a sub-second budget
-/// spread over too many samples is what makes criterion spam
-/// "unable to complete N samples" warnings.
-pub fn criterion() -> Criterion {
-    let ms = std::time::Duration::from_millis;
-    if quick_mode() {
-        Criterion::default()
-            .sample_size(5)
-            .warm_up_time(ms(50))
-            .measurement_time(ms(200))
-    } else {
-        Criterion::default()
-            .sample_size(10)
-            .warm_up_time(ms(200))
-            .measurement_time(ms(1000))
-    }
-}
-
-/// Print a banner separating the regenerated table from criterion noise.
-pub fn banner(title: &str) {
-    println!("\n================================================================");
-    println!("{title}");
-    println!("================================================================");
-}

@@ -18,8 +18,9 @@
 //!   [`Team::critical`] sections.
 //! * [`schedule::Schedule`] — static / static-chunked / dynamic / guided
 //!   loop schedules, mirroring `schedule(...)` clauses.
-//! * [`barrier`] — two barrier algorithms (sense-reversing centralized and
-//!   dissemination), both safe when the machine is oversubscribed.
+//! * [`barrier`] — the sense-reversing centralized team barrier (libgomp's
+//!   team barrier is centralized too), safe when the machine is
+//!   oversubscribed.
 //! * [`bind`] — thread-placement policies mirroring `OMP_PROC_BIND`
 //!   (`false`/`close`/`spread`), used by the architecture simulator to
 //!   reproduce the paper's §5.2 placement experiment.
@@ -49,7 +50,7 @@ pub mod reduce;
 pub mod schedule;
 pub mod sync_slice;
 
-pub use barrier::{Barrier, BarrierKind, CentralizedBarrier, DisseminationBarrier};
+pub use barrier::CentralizedBarrier;
 pub use bind::{placement, BindPolicy, Topology};
 pub use config::RuntimeConfig;
 pub use pool::{Pool, Team};

@@ -65,8 +65,7 @@ pub struct Job {
     /// earlier as the target shard's queue fills. Class-less wire
     /// requests submit as [`Priority::Interactive`].
     pub class: Priority,
-    /// Where the result goes; the connection side may have given up
-    /// (deadline), in which case the send fails and is ignored.
+    /// Where the result goes.
     pub reply: ReplySink,
 }
 
@@ -86,65 +85,48 @@ pub trait CompletionPort: Send + Sync {
     fn complete(&self, completion: Completion);
 }
 
-/// How a finished job reports back to its submitter.
-///
-/// [`ReplySink::Channel`] is the blocking shape (tests, embedded
-/// callers): the submitter parks in `recv_timeout`. [`ReplySink::port`]
-/// is the reactor shape: the worker posts a [`Completion`] and the
-/// reactor matches it to the waiting connection. Dropping an unsent
-/// port sink — the abandoned-batch path — posts a `result: None`
-/// completion, so a batch that burned every attempt still produces a
-/// structured `internal` error at the connection instead of a hang.
-pub enum ReplySink {
-    /// Blocking reply channel; a closed receiver is ignored.
-    Channel(SyncSender<JobResult>),
-    /// Completion-port reply (non-blocking submitters).
-    Port {
-        /// Where completions land.
-        port: Arc<dyn CompletionPort>,
-        /// Token echoed in the completion.
-        token: u64,
-        /// Whether a result was delivered (guards the drop signal).
-        sent: std::cell::Cell<bool>,
-    },
+/// How a finished job reports back to its submitter: the worker posts
+/// a [`Completion`] to the port and the reactor matches it to the
+/// waiting connection. Dropping an unsent sink — the abandoned-batch
+/// path — posts a `result: None` completion, so a batch that burned
+/// every attempt still produces a structured `internal` error at the
+/// connection instead of a hang.
+pub struct ReplySink {
+    /// Where completions land.
+    port: Arc<dyn CompletionPort>,
+    /// Token echoed in the completion.
+    token: u64,
+    /// Whether a result was delivered (guards the drop signal).
+    sent: std::cell::Cell<bool>,
 }
 
 impl ReplySink {
     /// A completion-port sink for `token`.
     pub fn port(port: Arc<dyn CompletionPort>, token: u64) -> ReplySink {
-        ReplySink::Port {
+        ReplySink {
             port,
             token,
             sent: std::cell::Cell::new(false),
         }
     }
 
-    /// Deliver the result. Channel sinks ignore a closed receiver.
+    /// Deliver the result.
     pub fn send(&self, result: JobResult) {
-        match self {
-            ReplySink::Channel(tx) => {
-                let _ = tx.send(result);
-            }
-            ReplySink::Port { port, token, sent } => {
-                sent.set(true);
-                port.complete(Completion {
-                    token: *token,
-                    result: Some(result),
-                });
-            }
-        }
+        self.sent.set(true);
+        self.port.complete(Completion {
+            token: self.token,
+            result: Some(result),
+        });
     }
 }
 
 impl Drop for ReplySink {
     fn drop(&mut self) {
-        if let ReplySink::Port { port, token, sent } = self {
-            if !sent.get() {
-                port.complete(Completion {
-                    token: *token,
-                    result: None,
-                });
-            }
+        if !self.sent.get() {
+            self.port.complete(Completion {
+                token: self.token,
+                result: None,
+            });
         }
     }
 }
@@ -484,7 +466,34 @@ mod tests {
     use rvhpc_machines::MachineId;
     use rvhpc_npb::{BenchmarkId, Class};
 
-    fn job_for(q: Query) -> (Job, Receiver<JobResult>) {
+    /// Forwards each completion into a channel; a closed receiver is
+    /// ignored.
+    struct ChannelPort(SyncSender<Completion>);
+
+    impl CompletionPort for ChannelPort {
+        fn complete(&self, completion: Completion) {
+            let _ = self.0.try_send(completion);
+        }
+    }
+
+    /// The submitter's end of one job's reply. An abandoned batch
+    /// delivers `result: None`, which reads as an error here.
+    struct Reply(Receiver<Completion>);
+
+    impl Reply {
+        fn recv(&self) -> Result<JobResult, &'static str> {
+            self.recv_timeout(Duration::MAX)
+        }
+
+        fn recv_timeout(&self, timeout: Duration) -> Result<JobResult, &'static str> {
+            let completion = self.0.recv_timeout(timeout).map_err(|_| "no completion")?;
+            completion.result.ok_or("batch abandoned")
+        }
+    }
+
+    fn job_for(q: Query) -> (Job, Reply) {
+        // One sink posts exactly one completion, so capacity 1 never
+        // makes `try_send` drop it.
         let (tx, rx) = sync_channel(1);
         (
             Job {
@@ -494,13 +503,13 @@ mod tests {
                 trace_id: 0,
                 enqueued_us: obs::now_us(),
                 class: Priority::Interactive,
-                reply: ReplySink::Channel(tx),
+                reply: ReplySink::port(Arc::new(ChannelPort(tx)), 0),
             },
-            rx,
+            Reply(rx),
         )
     }
 
-    fn classed_job(q: Query, class: Priority) -> (Job, Receiver<JobResult>) {
+    fn classed_job(q: Query, class: Priority) -> (Job, Reply) {
         let (mut job, rx) = job_for(q);
         job.class = class;
         (job, rx)

@@ -114,9 +114,9 @@ fn usage_text() -> &'static str {
      \x20             the engine cache/executor counters\n\
      \x20 bench:      run the curated benchmark suite and write the next\n\
      \x20             results/BENCH_<n>.json (rvhpc-bench/1); --quick cuts\n\
-     \x20             iteration counts (or set RVHPC_BENCH_QUICK), --filter\n\
-     \x20             runs matching targets only, --out overrides the path,\n\
-     \x20             --render prints BENCHMARKS.md for an existing document\n\
+     \x20             iteration counts, --filter runs matching targets only,\n\
+     \x20             --out overrides the path, --render prints\n\
+     \x20             BENCHMARKS.md for an existing document\n\
      \x20             (--saturation appends the rvhpc-saturation/1 sweep\n\
      \x20             section from loadgen --sweep)\n\
      \x20 isa:        run the instruction-level backend's kernels (triad,\n\
@@ -350,12 +350,9 @@ fn isa_cmd(rest: &[String]) -> ! {
 /// document to the benchmark trajectory, or re-render `BENCHMARKS.md`
 /// from a committed document. Never returns.
 fn bench(rest: &[String]) -> ! {
-    use rvhpc::bench::{harness, quick_mode, record};
+    use rvhpc::bench::{harness, record};
 
-    let mut cfg = harness::HarnessConfig {
-        quick: quick_mode(),
-        ..harness::HarnessConfig::default()
-    };
+    let mut cfg = harness::HarnessConfig::default();
     let mut out: Option<String> = None;
     let mut render: Option<String> = None;
     let mut saturation: Option<String> = None;
