@@ -460,52 +460,6 @@ impl MgState {
     }
 }
 
-/// Reusable state for timing the finest-level residual operator in
-/// isolation (`r = v − A u` followed by `comm3`) — the 27-point stencil
-/// that dominates MG's memory traffic. The benchmark harness's
-/// `host_mg_resid` target calls [`ResidualBench::step`] repeatedly on
-/// one instance, so setup cost (grid allocation, `zran3`) is paid once
-/// and every step touches identical data.
-pub struct ResidualBench {
-    u: Array3,
-    v: Array3,
-    r: Array3,
-    n: usize,
-}
-
-impl ResidualBench {
-    /// Allocate and initialize grids for `class`'s finest level.
-    pub fn new(class: Class, pool: &Pool) -> Self {
-        let n = class::mg_params(class).n;
-        let mut u = Array3::new(n + 2, n + 2, n + 2);
-        let mut v = Array3::new(n + 2, n + 2, n + 2);
-        let r = Array3::new(n + 2, n + 2, n + 2);
-        zran3(&mut v, n);
-        comm3(&mut v, pool);
-        // A non-zero u so the stencil reads realistic operands rather
-        // than multiplying through zeros.
-        zran3(&mut u, n);
-        comm3(&mut u, pool);
-        Self { u, v, r, n }
-    }
-
-    /// Apply the residual operator once across the full grid.
-    pub fn step(&mut self, pool: &Pool) {
-        resid(&self.u, VSource::Separate(&self.v), &mut self.r, pool);
-    }
-
-    /// Interior points updated per [`ResidualBench::step`].
-    pub fn points(&self) -> usize {
-        self.n * self.n * self.n
-    }
-
-    /// L2 norm of the current residual — a correctness probe for tests
-    /// (the operator is deterministic, so the norm is too).
-    pub fn norm(&self, pool: &Pool) -> f64 {
-        norm2u3(&self.r, self.n, pool)
-    }
-}
-
 /// Raw outputs of an MG run.
 #[derive(Debug, Clone)]
 pub struct MgOutput {

@@ -1,21 +1,14 @@
-//! Regression diffing of two versioned rvhpc documents.
+//! Regression diffing of two versioned `rvhpc-metrics/1` documents.
 //!
-//! Two document kinds share one machinery, dispatched on the `schema`
-//! tag by [`diff_any`]:
-//!
-//! * `rvhpc-metrics/1` — serve/loadgen metrics ([`diff_documents`]).
-//! * `rvhpc-bench/1` — benchmark-trajectory documents
-//!   ([`diff_bench_documents`]): per-target wall-time quantiles under
-//!   the same ratio + floor rules, plus target-presence accounting
-//!   (a target present in the baseline but missing from the current
-//!   document is a regression — lost coverage must not pass silently;
-//!   new targets are informational unless `strict`).
+//! [`diff_any`] checks the `schema` tag first: a document of any other
+//! kind is refused with a [`Severity::Mismatch`] finding, and two
+//! metrics documents go on to [`diff_documents`].
 //!
 //! Latency sections carry a layout tag (`bucket_layout` on histogram
-//! and exact-stats sections, `layout` on timeseries rings). When the
-//! tags disagree the quantiles are not comparable, and the diff refuses
-//! with a [`Severity::Mismatch`] finding instead of silently comparing
-//! — binaries map mismatches to exit code 2, distinct from a genuine
+//! sections, `layout` on timeseries rings). When the tags disagree the
+//! quantiles are not comparable, and the diff refuses with a
+//! [`Severity::Mismatch`] finding instead of silently comparing —
+//! binaries map mismatches to exit code 2, distinct from a genuine
 //! regression's 1.
 //!
 //! [`diff_documents`] walks a baseline and a current metrics document in
@@ -107,7 +100,7 @@ pub struct DiffReport {
 }
 
 impl DiffReport {
-    pub(crate) fn push(&mut self, path: &str, severity: Severity, message: String) {
+    fn push(&mut self, path: &str, severity: Severity, message: String) {
         self.findings.push(Finding {
             path: path.to_string(),
             message,
@@ -194,97 +187,21 @@ fn join(path: &str, key: &str) -> String {
     }
 }
 
-/// Compare two documents of any known kind, dispatching on the
-/// `schema` tag. Unknown or differing kinds produce a
+/// Compare two documents once both carry the `rvhpc-metrics/1` tag;
+/// any other or missing tag on either side produces a
 /// [`Severity::Mismatch`] report without attempting a comparison.
 pub fn diff_any(baseline: &JsonValue, current: &JsonValue, cfg: &DiffConfig) -> DiffReport {
     let (bk, ck) = (doc_kind(baseline), doc_kind(current));
-    if bk != ck {
-        let mut report = DiffReport::default();
-        report.push(
-            "schema",
-            Severity::Mismatch,
-            format!("document kinds differ: baseline {bk:?} vs current {ck:?}"),
-        );
-        return report;
+    let metrics = Some(crate::metrics::METRICS_SCHEMA);
+    if bk == metrics && ck == metrics {
+        return diff_documents(baseline, current, cfg);
     }
-    match bk {
-        Some(crate::metrics::METRICS_SCHEMA) => diff_documents(baseline, current, cfg),
-        Some(crate::benchdoc::BENCH_SCHEMA) => diff_bench_documents(baseline, current, cfg),
-        Some(crate::saturation::SATURATION_SCHEMA) => {
-            crate::saturation::diff_saturation_documents(baseline, current, cfg)
-        }
-        other => {
-            let mut report = DiffReport::default();
-            report.push(
-                "schema",
-                Severity::Mismatch,
-                format!("unknown document kind {other:?}"),
-            );
-            report
-        }
-    }
-}
-
-/// Compare two `rvhpc-bench/1` benchmark documents: target presence,
-/// then per-target wall quantiles under the ratio + floor rules.
-pub fn diff_bench_documents(
-    baseline: &JsonValue,
-    current: &JsonValue,
-    cfg: &DiffConfig,
-) -> DiffReport {
     let mut report = DiffReport::default();
-    let (bm, cm) = (
-        baseline.get("mode").and_then(JsonValue::as_str),
-        current.get("mode").and_then(JsonValue::as_str),
+    report.push(
+        "schema",
+        Severity::Mismatch,
+        format!("not comparable: baseline {bk:?} vs current {ck:?} (expected {metrics:?})"),
     );
-    if bm != cm {
-        report.push(
-            "mode",
-            Severity::Info,
-            format!("run modes differ: baseline {bm:?} vs current {cm:?}"),
-        );
-    }
-    let targets = |doc: &JsonValue| match doc.get("targets") {
-        Some(JsonValue::Object(map)) => Some(map.clone()),
-        _ => None,
-    };
-    let (Some(base_targets), Some(cur_targets)) = (targets(baseline), targets(current)) else {
-        report.push(
-            "targets",
-            Severity::Mismatch,
-            "one or both documents have no targets section".to_string(),
-        );
-        return report;
-    };
-    for (name, base_target) in &base_targets {
-        let path = format!("targets.{name}");
-        match cur_targets.get(name) {
-            Some(cur_target) => walk(base_target, cur_target, &path, cfg, &mut report),
-            // A vanished target is lost coverage, not noise: report it
-            // as a regression so a filtered or truncated run can never
-            // pass a gate against a full baseline.
-            None => report.push(
-                &path,
-                Severity::Regression,
-                "target present in baseline, missing in current".to_string(),
-            ),
-        }
-    }
-    for name in cur_targets.keys() {
-        if !base_targets.contains_key(name) {
-            report.push(
-                &format!("targets.{name}"),
-                if cfg.strict {
-                    Severity::Regression
-                } else {
-                    Severity::Info
-                },
-                "new target, absent from baseline".to_string(),
-            );
-        }
-    }
-    invariants(current, "", &mut report);
     report
 }
 
@@ -358,13 +275,7 @@ fn class_slo_checks(current: &JsonValue, cfg: &DiffConfig, report: &mut DiffRepo
     }
 }
 
-pub(crate) fn walk(
-    base: &JsonValue,
-    cur: &JsonValue,
-    path: &str,
-    cfg: &DiffConfig,
-    report: &mut DiffReport,
-) {
+fn walk(base: &JsonValue, cur: &JsonValue, path: &str, cfg: &DiffConfig, report: &mut DiffReport) {
     match (base, cur) {
         (JsonValue::Object(b), JsonValue::Object(c)) => {
             // Layout guard: a latency or timeseries section whose layout
@@ -456,7 +367,7 @@ pub(crate) fn walk(
 }
 
 /// Self-consistency checks on the current document.
-pub(crate) fn invariants(doc: &JsonValue, path: &str, report: &mut DiffReport) {
+fn invariants(doc: &JsonValue, path: &str, report: &mut DiffReport) {
     let JsonValue::Object(map) = doc else { return };
 
     // Zero-tolerance counters: transport drops and unanswered errors.
@@ -560,6 +471,25 @@ mod tests {
         assert!(!report.has_regressions(), "{}", report.render());
     }
 
+    #[test]
+    fn ratio_and_floor_interact_at_boundaries() {
+        let cfg = |floor_us: f64| DiffConfig {
+            max_quantile_ratio: 2.0,
+            floor_us,
+            ..DiffConfig::default()
+        };
+        // Exactly at the ratio, zero floor: not a regression — the ratio
+        // rule is strictly-greater.
+        let report = diff_documents(&doc(4000, 0), &doc(8000, 0), &cfg(0.0));
+        assert!(!report.has_regressions(), "{}", report.render());
+        // Far above the ratio but at/below the absolute floor: clean.
+        let report = diff_documents(&doc(100, 0), &doc(600, 0), &cfg(3000.0));
+        assert!(!report.has_regressions(), "{}", report.render());
+        // One µs above both thresholds: regression.
+        let report = diff_documents(&doc(1000, 0), &doc(3001, 0), &cfg(3000.0));
+        assert!(report.has_regressions(), "{}", report.render());
+    }
+
     /// A loadgen-shaped document with a per-class breakdown.
     fn classed_doc(interactive_p99: u64, bulk_p99: u64) -> JsonValue {
         let class = |p99: u64| {
@@ -642,141 +572,48 @@ mod tests {
         assert!(report.has_regressions(), "non-monotone ladder must fail");
     }
 
-    /// A bench document with two targets whose p50s are given in µs.
-    fn bench_doc(spmv_p50: u64, triad_p50: u64) -> JsonValue {
-        let target = |p50: u64| {
-            format!(
-                r#"{{"group":"host","iterations":20,
-                    "wall":{{"bucket_layout":"exact/1","count":20,"min_us":{min},
-                             "p50_us":{p50},"p99_us":{p99},"max_us":{p99},
-                             "mean_us":{p50}}}}}"#,
-                min = p50 / 2,
-                p99 = p50 * 2,
-            )
-        };
+    /// A metrics document whose latency section carries a layout tag.
+    fn layout_doc(layout: &str, p99: u64) -> JsonValue {
         parse(&format!(
-            r#"{{"schema":"rvhpc-bench/1","generator":"test","index":0,"mode":"full",
-                "system":{{"arch":"x86_64","cpus":8}},
-                "targets":{{"host_cg_spmv":{spmv},"host_stream_triad":{triad}}}}}"#,
-            spmv = target(spmv_p50),
-            triad = target(triad_p50),
+            r#"{{"schema":"rvhpc-metrics/1","loadgen":{{"latency":{{
+                "bucket_layout":"{layout}","count":10,"mean_us":500,"min_us":10,
+                "max_us":{p99},"p50_us":400,"p99_us":{p99}}}}}}}"#
         ))
-        .expect("bench doc parses")
-    }
-
-    #[test]
-    fn bench_self_diff_is_clean_and_dispatch_picks_bench_rules() {
-        let doc = bench_doc(1000, 4000);
-        let report = diff_any(&doc, &doc.clone(), &DiffConfig::default());
-        assert!(!report.has_regressions(), "{}", report.render());
-        assert!(!report.has_mismatches(), "{}", report.render());
-    }
-
-    #[test]
-    fn bench_slower_target_fails_and_names_the_target() {
-        let base = bench_doc(1000, 4000);
-        let bad = bench_doc(1000, 40_000); // 10x slower triad
-        let report = diff_any(&base, &bad, &DiffConfig::default());
-        assert!(report.has_regressions());
-        let text = report.render();
-        assert!(
-            text.contains("targets.host_stream_triad.wall.p50_us"),
-            "{text}"
-        );
-        assert!(!text.contains("REGRESSION targets.host_cg_spmv"), "{text}");
-    }
-
-    #[test]
-    fn bench_ratio_and_floor_interact_at_boundaries() {
-        let cfg = |floor_us: f64| DiffConfig {
-            max_quantile_ratio: 2.0,
-            floor_us,
-            ..DiffConfig::default()
-        };
-        // Exactly at the ratio (p50 and p99 both exactly 2x), zero
-        // floor: not a regression — the ratio rule is strictly-greater.
-        let report = diff_any(&bench_doc(1000, 4000), &bench_doc(2000, 4000), &cfg(0.0));
-        assert!(!report.has_regressions(), "{}", report.render());
-        // Far above the ratio but every quantile at/below the absolute
-        // floor (p99 = 2*p50 = 1200 ≤ 3000): still clean.
-        let report = diff_any(&bench_doc(100, 4000), &bench_doc(600, 4000), &cfg(3000.0));
-        assert!(!report.has_regressions(), "{}", report.render());
-        // One µs above both thresholds: regression.
-        let report = diff_any(&bench_doc(500, 4000), &bench_doc(3001, 4000), &cfg(3000.0));
-        assert!(report.has_regressions(), "{}", report.render());
-    }
-
-    #[test]
-    fn bench_missing_target_regresses_and_new_target_is_informational() {
-        let base = bench_doc(1000, 4000);
-        let mut cur = bench_doc(1000, 4000);
-        if let Some(JsonValue::Object(targets)) = match &mut cur {
-            JsonValue::Object(map) => map.get_mut("targets"),
-            _ => None,
-        } {
-            let spmv = targets.remove("host_cg_spmv").expect("present");
-            targets.insert("host_new_kernel".to_string(), spmv);
-        }
-        let report = diff_any(&base, &cur, &DiffConfig::default());
-        assert!(report.has_regressions());
-        let text = report.render();
-        assert!(
-            text.contains("REGRESSION targets.host_cg_spmv: target present in baseline"),
-            "{text}"
-        );
-        assert!(text.contains("info targets.host_new_kernel"), "{text}");
-        // Under strict, the added target fails too.
-        let strict = diff_any(
-            &base,
-            &cur,
-            &DiffConfig {
-                strict: true,
-                ..DiffConfig::default()
-            },
-        );
-        assert!(strict
-            .regressions()
-            .any(|f| f.path == "targets.host_new_kernel"));
+        .expect("layout doc parses")
     }
 
     #[test]
     fn cross_kind_and_cross_layout_comparisons_are_refused() {
-        // metrics vs bench: kind mismatch, exit-2 class.
+        // metrics vs any other schema tag: kind mismatch, exit-2 class.
         let metrics = doc(4000, 0);
-        let bench = bench_doc(1000, 4000);
-        let report = diff_any(&metrics, &bench, &DiffConfig::default());
-        assert!(report.has_mismatches());
-        assert!(!report.has_regressions());
-
-        // Same kind, but one target's wall section uses a different
-        // bucket layout: that section is refused (mismatch), and its
-        // 10x-slower quantile must NOT surface as a regression.
-        let base = bench_doc(1000, 4000);
-        let mut cur = bench_doc(10_000, 4000);
-        if let Some(JsonValue::Object(wall)) = match &mut cur {
-            JsonValue::Object(map) => map
-                .get_mut("targets")
-                .and_then(|t| match t {
-                    JsonValue::Object(t) => t.get_mut("host_cg_spmv"),
-                    _ => None,
-                })
-                .and_then(|t| match t {
-                    JsonValue::Object(t) => t.get_mut("wall"),
-                    _ => None,
-                }),
-            _ => None,
-        } {
-            wall.insert("bucket_layout".to_string(), JsonValue::from("exact/2"));
+        let mut other = doc(4000, 0);
+        if let JsonValue::Object(map) = &mut other {
+            map.insert("schema".to_string(), JsonValue::from("rvhpc-other/1"));
         }
+        for (base, cur) in [(&metrics, &other), (&other, &other)] {
+            let report = diff_any(base, cur, &DiffConfig::default());
+            assert!(report.has_mismatches(), "{}", report.render());
+            assert!(!report.has_regressions(), "{}", report.render());
+        }
+        let report = diff_any(&metrics, &metrics.clone(), &DiffConfig::default());
+        assert!(!report.has_mismatches(), "{}", report.render());
+
+        // Same kind, but the latency section uses a different bucket
+        // layout: that section is refused (mismatch), and its 10x-slower
+        // quantile must NOT surface as a regression.
+        let base = layout_doc("log64x32/1", 4000);
+        let cur = layout_doc("log64x32/2", 40_000);
         let report = diff_any(&base, &cur, &DiffConfig::default());
         assert!(report.has_mismatches(), "{}", report.render());
-        assert!(
-            !report
-                .regressions()
-                .any(|f| f.path.contains("host_cg_spmv")),
-            "{}",
-            report.render()
+        assert!(!report.has_regressions(), "{}", report.render());
+        // The same slowdown under one layout is a plain regression.
+        let report = diff_any(
+            &base,
+            &layout_doc("log64x32/1", 40_000),
+            &DiffConfig::default(),
         );
+        assert!(report.has_regressions(), "{}", report.render());
+        assert!(!report.has_mismatches(), "{}", report.render());
     }
 
     #[test]

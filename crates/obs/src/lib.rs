@@ -26,7 +26,6 @@
 //! # rvhpc_obs::set_enabled(false);
 //! ```
 
-pub mod benchdoc;
 pub mod chrome;
 pub mod diff;
 pub mod event;
@@ -36,14 +35,12 @@ pub mod metrics;
 pub mod prof;
 pub mod recorder;
 pub mod ring;
-pub mod saturation;
 pub mod slo;
 pub mod timeseries;
 pub mod trace;
 
-pub use benchdoc::{SystemInfo, WallStats, BENCH_SCHEMA};
 pub use chrome::{chrome_trace, write_chrome_trace};
-pub use diff::{diff_any, diff_bench_documents, diff_documents, doc_kind, DiffConfig, DiffReport};
+pub use diff::{diff_any, diff_documents, doc_kind, DiffConfig, DiffReport};
 pub use event::{Event, EventKind};
 pub use hist::LatencyHistogram;
 pub use json::JsonValue;
@@ -53,7 +50,6 @@ pub use recorder::{
     disabled_handle, drain_all, enabled, handle, init_from_env, now_us, pin_epoch, record,
     set_enabled, RecorderHandle, SpanStart, TraceData, TRACE_ENV,
 };
-pub use saturation::{knee_index, SweepStep, SATURATION_SCHEMA};
 pub use slo::{evaluate, parse_rules, HealthReport, RuleSet, HEALTH_SCHEMA, SLO_SCHEMA};
 pub use timeseries::{Sample, Timeseries};
 pub use trace::{RetainedSpan, TraceCtx};

@@ -1,48 +1,36 @@
 //! Property tests for the document diff: comparing any well-formed
-//! benchmark document against itself must always be clean — no
+//! `rvhpc-metrics/1` document against itself must always be clean — no
 //! regressions and no mismatches, at any threshold configuration.
 
 use proptest::prelude::*;
-use rvhpc_obs::benchdoc::{self, WallStats};
-use rvhpc_obs::{diff_any, json::JsonValue, DiffConfig};
+use rvhpc_obs::{diff_any, json::JsonValue, metrics, DiffConfig, LatencyHistogram};
 
-/// Build a bench document with `targets` synthetic targets, each with a
-/// deterministic sample vector derived from the seeds.
-fn synth_doc(target_seeds: &[u64]) -> JsonValue {
-    let mut doc = benchdoc::document("proptest", 0, false);
-    let targets: Vec<(String, JsonValue)> = target_seeds
-        .iter()
-        .enumerate()
-        .map(|(i, &seed)| {
-            // A spread of samples around the seed; always non-empty.
-            let samples: Vec<u64> = (0..8u64).map(|k| seed % 1_000_000 + k * 17).collect();
-            let target = JsonValue::object([
-                ("group".to_string(), JsonValue::from("synthetic")),
-                ("iterations".to_string(), JsonValue::from(samples.len())),
-                (
-                    "wall".to_string(),
-                    WallStats::from_samples(&samples).to_json(),
-                ),
-                (
-                    "throughput".to_string(),
-                    JsonValue::object([
-                        ("unit".to_string(), JsonValue::from("op/s")),
-                        (
-                            "value".to_string(),
-                            JsonValue::from((seed % 977 + 1) as f64),
-                        ),
-                    ]),
-                ),
-            ]);
-            (format!("target_{i}"), target)
-        })
-        .collect();
+/// Build a metrics document with one synthetic loadgen-shaped section
+/// per seed: zero error/drop counters, a throughput, and a latency
+/// histogram over a deterministic sample spread derived from the seed.
+fn synth_doc(section_seeds: &[u64]) -> JsonValue {
+    let mut doc = metrics::document("proptest");
+    let sections = section_seeds.iter().enumerate().map(|(i, &seed)| {
+        let mut hist = LatencyHistogram::new();
+        // Every fifth section is an empty histogram (all-zero ladder).
+        let samples = if seed % 5 == 0 { 0 } else { 1 + seed % 64 };
+        for k in 0..samples {
+            hist.record(seed % 1_000_000 + k * (seed % 997 + 1));
+        }
+        let section = JsonValue::object([
+            ("ok".to_string(), JsonValue::from(samples)),
+            ("errors".to_string(), JsonValue::from(0u64)),
+            ("dropped".to_string(), JsonValue::from(0u64)),
+            (
+                "throughput_rps".to_string(),
+                JsonValue::from((seed % 977 + 1) as f64 / 3.0),
+            ),
+            ("latency".to_string(), hist.to_json()),
+        ]);
+        (format!("section_{i}"), section)
+    });
     if let JsonValue::Object(map) = &mut doc {
-        map.insert(
-            "system".to_string(),
-            JsonValue::object([("cpus".to_string(), JsonValue::from(8u64))]),
-        );
-        map.insert("targets".to_string(), JsonValue::object(targets));
+        map.extend(sections);
     }
     doc
 }
@@ -50,8 +38,8 @@ fn synth_doc(target_seeds: &[u64]) -> JsonValue {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// benchdiff(doc, doc) is always clean, for any document shape and
-    /// any threshold configuration.
+    /// diff(doc, doc) is always clean, for any document shape and any
+    /// threshold configuration.
     #[test]
     fn self_diff_is_always_clean(
         seeds in prop::collection::vec(0u64..u64::MAX, 1usize..12),
@@ -60,7 +48,6 @@ proptest! {
         strict_bit in 0u64..2,
     ) {
         let doc = synth_doc(&seeds);
-        prop_assert_eq!(benchdoc::validate(&doc), Ok(()));
         let cfg = DiffConfig {
             max_quantile_ratio: ratio_milli as f64 / 1000.0,
             floor_us: floor as f64,

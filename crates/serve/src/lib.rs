@@ -56,7 +56,7 @@ pub mod server;
 pub use batch::{AdmissionError, Batcher, Job, JobResult};
 pub use client::{ClientConfig, ClientError, ClientStats, RetryClient};
 pub use cluster::{Ring, Router, RouterConfig};
-pub use loadgen::{ClassMix, ClassReport, LoadReport, LoadgenConfig, Mix, SweepSpec};
+pub use loadgen::{ClassMix, ClassReport, LoadReport, LoadgenConfig, Mix};
 pub use proto::{parse_request, ErrorKind, PredictRequest, Priority, ProtoError, Request};
 pub use server::{
     drain_requested, install_signal_drain, request_drain, reset_drain, Server, ServerConfig,

@@ -18,7 +18,7 @@
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use rvhpc_obs::{metrics, JsonValue, LatencyHistogram};
@@ -217,11 +217,6 @@ pub struct LoadReport {
     /// run (empty when sampling is disabled). Early entries show the
     /// warmup transient; late entries the steady-state rate.
     pub cache_hit_rate_samples: Vec<f64>,
-    /// In-flight request count observed at each sampling interval (same
-    /// cadence as `cache_hit_rate_samples`; empty when sampling is
-    /// disabled). The saturation sweep averages these into each step's
-    /// `inflight_mean`.
-    pub inflight_samples: Vec<u64>,
     /// Median latency in microseconds.
     pub p50_us: u64,
     /// 99th-percentile latency in microseconds.
@@ -322,12 +317,7 @@ fn drop_remaining(stats: &mut WorkerStats, cfg: &LoadgenConfig, mut k: usize) {
     }
 }
 
-fn worker(
-    cfg: &LoadgenConfig,
-    worker_id: usize,
-    start: Instant,
-    inflight: &AtomicUsize,
-) -> std::io::Result<WorkerStats> {
+fn worker(cfg: &LoadgenConfig, worker_id: usize, start: Instant) -> std::io::Result<WorkerStats> {
     let mut stats = WorkerStats::default();
     let stream = TcpStream::connect(&cfg.addr)?;
     stream.set_nodelay(true)?;
@@ -347,17 +337,13 @@ fn worker(
         let class = cfg.class_mix.as_ref().map(|m| m.class_of(k));
         let line = request_line(k, cfg.mix, cfg.deadline_ms, class);
         let sent = Instant::now();
-        inflight.fetch_add(1, Ordering::Relaxed);
         if writeln!(writer, "{line}").is_err() {
-            inflight.fetch_sub(1, Ordering::Relaxed);
             stats.dropped += (cfg.requests - k).div_ceil(cfg.conns) as u64;
             drop_remaining(&mut stats, cfg, k);
             break;
         }
         reply.clear();
-        let read = reader.read_line(&mut reply);
-        inflight.fetch_sub(1, Ordering::Relaxed);
-        match read {
+        match reader.read_line(&mut reply) {
             Ok(n) if n > 0 => {
                 let us = sent.elapsed().as_micros() as u64;
                 stats.hist.record(us);
@@ -389,7 +375,6 @@ fn worker_retrying(
     cfg: &LoadgenConfig,
     worker_id: usize,
     start: Instant,
-    inflight: &AtomicUsize,
 ) -> std::io::Result<WorkerStats> {
     let mut stats = WorkerStats::default();
     let mut client = RetryClient::new(ClientConfig {
@@ -413,9 +398,7 @@ fn worker_retrying(
         // inside the client; the per-call delta of that counter is this
         // request's shed count.
         let shed_before = client.stats().overloaded_backoffs;
-        inflight.fetch_add(1, Ordering::Relaxed);
         let outcome = client.call(&line);
-        inflight.fetch_sub(1, Ordering::Relaxed);
         if let Some(c) = class {
             let cs = &mut stats.class[c.index()];
             cs.sent += 1;
@@ -482,81 +465,68 @@ fn fetch_server_cache(addr: &str) -> Option<(u64, u64)> {
 
 /// Run the configured workload and aggregate a [`LoadReport`].
 pub fn run(cfg: &LoadgenConfig) -> std::io::Result<LoadReport> {
-    // Connections beyond the request count still connect and idle —
-    // that is the point of a saturation sweep: held connections load
-    // the server even when only the first `requests` workers send.
     let cfg = LoadgenConfig {
         conns: cfg.conns.max(1),
         ..cfg.clone()
     };
     let start = Instant::now();
-    let done = std::sync::atomic::AtomicBool::new(false);
-    let inflight = AtomicUsize::new(0);
-    #[allow(clippy::type_complexity)]
-    let (stats, (cache_hit_rate_samples, inflight_samples)): (
-        Vec<std::io::Result<WorkerStats>>,
-        (Vec<f64>, Vec<u64>),
-    ) = std::thread::scope(|scope| {
-        // Optional sampler: polls the server's cache counters on its
-        // own connection and turns counter deltas into per-interval
-        // hit rates while the workers replay the mix.
-        let sampler = (cfg.sample_ms > 0).then(|| {
-            let cfg = &cfg;
-            let done = &done;
-            let inflight = &inflight;
-            scope.spawn(move || {
-                let mut samples = Vec::new();
-                let mut inflight_samples = Vec::new();
-                let mut last = fetch_server_cache(&cfg.addr);
-                let interval = Duration::from_millis(cfg.sample_ms);
-                while !done.load(std::sync::atomic::Ordering::Relaxed) {
-                    // Sleep in short slices so the sampler exits
-                    // promptly when the run ends mid-interval.
-                    let mut left = interval;
-                    while !left.is_zero() && !done.load(std::sync::atomic::Ordering::Relaxed) {
-                        let step = left.min(Duration::from_millis(20));
-                        std::thread::sleep(step);
-                        left = left.saturating_sub(step);
-                    }
-                    // One in-flight observation per interval, taken at
-                    // the same moment as the cache-counter poll.
-                    inflight_samples.push(inflight.load(Ordering::Relaxed) as u64);
-                    let cur = fetch_server_cache(&cfg.addr);
-                    if let (Some((h0, m0)), Some((h1, m1))) = (last, cur) {
-                        let dh = h1.saturating_sub(h0);
-                        let dm = m1.saturating_sub(m0);
-                        if dh + dm > 0 {
-                            samples.push(dh as f64 / (dh + dm) as f64);
-                        }
-                    }
-                    last = cur;
-                }
-                (samples, inflight_samples)
-            })
-        });
-        let handles: Vec<_> = (0..cfg.conns)
-            .map(|w| {
+    let done = AtomicBool::new(false);
+    let (stats, cache_hit_rate_samples): (Vec<std::io::Result<WorkerStats>>, Vec<f64>) =
+        std::thread::scope(|scope| {
+            // Optional sampler: polls the server's cache counters on its
+            // own connection and turns counter deltas into per-interval
+            // hit rates while the workers replay the mix.
+            let sampler = (cfg.sample_ms > 0).then(|| {
                 let cfg = &cfg;
-                let inflight = &inflight;
+                let done = &done;
                 scope.spawn(move || {
-                    if cfg.retry {
-                        worker_retrying(cfg, w, start, inflight)
-                    } else {
-                        worker(cfg, w, start, inflight)
+                    let mut samples = Vec::new();
+                    let mut last = fetch_server_cache(&cfg.addr);
+                    let interval = Duration::from_millis(cfg.sample_ms);
+                    while !done.load(Ordering::Relaxed) {
+                        // Sleep in short slices so the sampler exits
+                        // promptly when the run ends mid-interval.
+                        let mut left = interval;
+                        while !left.is_zero() && !done.load(Ordering::Relaxed) {
+                            let step = left.min(Duration::from_millis(20));
+                            std::thread::sleep(step);
+                            left = left.saturating_sub(step);
+                        }
+                        let cur = fetch_server_cache(&cfg.addr);
+                        if let (Some((h0, m0)), Some((h1, m1))) = (last, cur) {
+                            let dh = h1.saturating_sub(h0);
+                            let dm = m1.saturating_sub(m0);
+                            if dh + dm > 0 {
+                                samples.push(dh as f64 / (dh + dm) as f64);
+                            }
+                        }
+                        last = cur;
                     }
+                    samples
                 })
-            })
-            .collect();
-        let stats = handles
-            .into_iter()
-            .map(|h| h.join().expect("loadgen worker panicked"))
-            .collect();
-        done.store(true, std::sync::atomic::Ordering::Relaxed);
-        let samples = sampler
-            .map(|h| h.join().expect("loadgen sampler panicked"))
-            .unwrap_or_default();
-        (stats, samples)
-    });
+            });
+            let handles: Vec<_> = (0..cfg.conns)
+                .map(|w| {
+                    let cfg = &cfg;
+                    scope.spawn(move || {
+                        if cfg.retry {
+                            worker_retrying(cfg, w, start)
+                        } else {
+                            worker(cfg, w, start)
+                        }
+                    })
+                })
+                .collect();
+            let stats = handles
+                .into_iter()
+                .map(|h| h.join().expect("loadgen worker panicked"))
+                .collect();
+            done.store(true, Ordering::Relaxed);
+            let samples = sampler
+                .map(|h| h.join().expect("loadgen sampler panicked"))
+                .unwrap_or_default();
+            (stats, samples)
+        });
     let elapsed = start.elapsed().as_secs_f64();
 
     let mut hist = LatencyHistogram::new();
@@ -647,15 +617,6 @@ pub fn run(cfg: &LoadgenConfig) -> std::io::Result<LoadReport> {
                     "cache_hit_rate_samples".to_string(),
                     JsonValue::Array(
                         cache_hit_rate_samples
-                            .iter()
-                            .map(|v| JsonValue::from(*v))
-                            .collect(),
-                    ),
-                ),
-                (
-                    "inflight_samples".to_string(),
-                    JsonValue::Array(
-                        inflight_samples
                             .iter()
                             .map(|v| JsonValue::from(*v))
                             .collect(),
@@ -755,105 +716,11 @@ pub fn run(cfg: &LoadgenConfig) -> std::io::Result<LoadReport> {
         reconnects: client_totals.reconnects,
         cache_hit_rate,
         cache_hit_rate_samples,
-        inflight_samples,
         p50_us: hist.quantile(0.5),
         p99_us: hist.quantile(0.99),
         classes,
         doc,
     })
-}
-
-/// A parsed `--sweep LO:HI:STEP` concurrency schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SweepSpec {
-    /// First connection count.
-    pub lo: usize,
-    /// Last connection count (inclusive when the stride lands on it).
-    pub hi: usize,
-    /// Stride between steps.
-    pub step: usize,
-}
-
-impl SweepSpec {
-    /// Parse `LO:HI:STEP` (e.g. `2:32:2`): positive integers, `lo <= hi`.
-    pub fn parse(spec: &str) -> Result<SweepSpec, String> {
-        let parts: Vec<&str> = spec.split(':').collect();
-        if parts.len() != 3 {
-            return Err(format!("sweep spec '{spec}' is not LO:HI:STEP"));
-        }
-        let mut nums = [0usize; 3];
-        for (slot, part) in nums.iter_mut().zip(&parts) {
-            *slot = part
-                .trim()
-                .parse()
-                .map_err(|_| format!("sweep bound '{}' is not a number", part.trim()))?;
-        }
-        let [lo, hi, step] = nums;
-        if lo == 0 || step == 0 {
-            return Err("sweep bounds and stride must be >= 1".to_string());
-        }
-        if lo > hi {
-            return Err(format!("sweep lo {lo} exceeds hi {hi}"));
-        }
-        Ok(SweepSpec { lo, hi, step })
-    }
-
-    /// The connection counts the sweep visits, in ascending order.
-    pub fn points(&self) -> Vec<usize> {
-        (self.lo..=self.hi).step_by(self.step).collect()
-    }
-}
-
-/// Run the workload once per concurrency step and fold the results into
-/// an `rvhpc-saturation/1` document: each step replays `cfg.requests`
-/// requests at `cfg.conns = step` connections, and the knee of the
-/// resulting (conns, p99) curve marks where the server saturates. The
-/// per-step reports are discarded — only the curve is returned.
-pub fn sweep(cfg: &LoadgenConfig, spec: SweepSpec) -> std::io::Result<JsonValue> {
-    let mut steps = Vec::new();
-    for conns in spec.points() {
-        let step_cfg = LoadgenConfig {
-            conns,
-            ..cfg.clone()
-        };
-        let report = run(&step_cfg)?;
-        let inflight_mean = (!report.inflight_samples.is_empty()).then(|| {
-            report.inflight_samples.iter().sum::<u64>() as f64
-                / report.inflight_samples.len() as f64
-        });
-        steps.push(rvhpc_obs::SweepStep {
-            conns: conns as u64,
-            ok: report.ok,
-            errors: report.errors,
-            dropped: report.dropped,
-            throughput_rps: report
-                .doc
-                .get("loadgen")
-                .and_then(|l| l.get("throughput_rps"))
-                .and_then(JsonValue::as_f64)
-                .unwrap_or(0.0),
-            p50_us: report.p50_us as f64,
-            p99_us: report.p99_us as f64,
-            cache_hit_rate: report.cache_hit_rate,
-            inflight_mean,
-        });
-    }
-    let params = rvhpc_obs::saturation::SweepParams {
-        lo: spec.lo as u64,
-        hi: spec.hi as u64,
-        step: spec.step as u64,
-        requests_per_step: cfg.requests as u64,
-        rate_rps: cfg.rate as u64,
-        mix: match cfg.mix {
-            Mix::Preset => "preset",
-            Mix::Mixed => "mixed",
-        },
-    };
-    Ok(rvhpc_obs::saturation::document(
-        "rvhpc-loadgen",
-        &params,
-        &steps,
-    ))
 }
 
 #[cfg(test)]
@@ -915,19 +782,6 @@ mod tests {
         }
         let classless = request_line(3, Mix::Mixed, None, None);
         assert!(!classless.contains("priority"));
-    }
-
-    #[test]
-    fn sweep_specs_parse_and_enumerate() {
-        let spec = SweepSpec::parse("2:8:2").expect("parses");
-        assert_eq!(spec.points(), vec![2, 4, 6, 8]);
-        let odd = SweepSpec::parse("1:10:4").expect("parses");
-        assert_eq!(odd.points(), vec![1, 5, 9], "stride may overshoot hi");
-        assert!(SweepSpec::parse("0:8:2").is_err());
-        assert!(SweepSpec::parse("2:8").is_err());
-        assert!(SweepSpec::parse("8:2:1").is_err());
-        assert!(SweepSpec::parse("2:8:0").is_err());
-        assert!(SweepSpec::parse("a:8:2").is_err());
     }
 
     #[test]

@@ -432,7 +432,7 @@ impl Server {
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         // std binds with a 128-deep accept backlog — a flood of
-        // simultaneous connects (the 10k-conn saturation sweep) would
+        // simultaneous connects (10k clients at once) would
         // overflow it and drop SYNs before the reactor ever saw them.
         // listen(2) on an already-listening socket just updates the
         // backlog.

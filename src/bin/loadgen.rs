@@ -12,14 +12,10 @@
 //! document with throughput, error counts, cache hit rate and
 //! p50/p95/p99 latency to stdout (and `--out FILE` when given).
 //!
-//! `--sweep LO:HI:STEP` runs the mix once per connection count instead
-//! and prints an `rvhpc-saturation/1` document: the (conns, p99) curve
-//! with its knee — where the server saturates — marked.
-//!
 //! Exit codes: `0` all requests answered `ok`, `1` some requests failed
 //! or were dropped, `2` usage error, `3` connect/write failure.
 
-use rvhpc::serve::{loadgen, ClassMix, LoadgenConfig, Mix, SweepSpec};
+use rvhpc::serve::{loadgen, ClassMix, LoadgenConfig, Mix};
 
 fn usage_text() -> &'static str {
     "usage: loadgen --addr HOST:PORT [--requests N] [--conns N] [--rate R]\n\
@@ -62,7 +58,6 @@ fn parse_num<T: std::str::FromStr>(flag: &str, v: Option<String>) -> T {
 fn main() {
     let mut cfg = LoadgenConfig::default();
     let mut addr_given = false;
-    let mut sweep: Option<SweepSpec> = None;
     let mut out: Option<std::path::PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -79,15 +74,6 @@ fn main() {
             "--deadline-ms" => cfg.deadline_ms = Some(parse_num("--deadline-ms", args.next())),
             "--sample-ms" => cfg.sample_ms = parse_num("--sample-ms", args.next()),
             "--retry" => cfg.retry = true,
-            "--sweep" => {
-                let spec = args
-                    .next()
-                    .unwrap_or_else(|| usage_error("--sweep needs LO:HI:STEP"));
-                match SweepSpec::parse(&spec) {
-                    Ok(parsed) => sweep = Some(parsed),
-                    Err(e) => usage_error(&format!("bad sweep '{spec}': {e}")),
-                }
-            }
             "--retry-seed" => cfg.retry_seed = parse_num("--retry-seed", args.next()),
             "--class-mix" => {
                 let spec = args
@@ -124,38 +110,6 @@ fn main() {
     }
     if cfg.requests == 0 || cfg.conns == 0 {
         usage_error("--requests and --conns must be at least 1");
-    }
-
-    if let Some(spec) = sweep {
-        let doc = match loadgen::sweep(&cfg, spec) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("loadgen: {e}");
-                std::process::exit(3);
-            }
-        };
-        let text = doc.to_json();
-        println!("{text}");
-        if let Some(path) = out {
-            if let Err(e) = std::fs::write(&path, text + "\n") {
-                eprintln!("loadgen: cannot write {}: {e}", path.display());
-                std::process::exit(3);
-            }
-        }
-        if let Some(knee) = doc.get("knee") {
-            eprintln!(
-                "loadgen: sweep {}..{} step {}: knee at {} conns (p99 {} us)",
-                spec.lo,
-                spec.hi,
-                spec.step,
-                knee.get("conns").and_then(|v| v.as_f64()).unwrap_or(0.0),
-                knee.get("p99_us").and_then(|v| v.as_f64()).unwrap_or(0.0)
-            );
-        }
-        // A sweep is a measurement, not a pass/fail probe: per-step
-        // errors already shaped the curve, so the exit code only
-        // reflects transport-level failure.
-        return;
     }
 
     let report = match loadgen::run(&cfg) {

@@ -1,62 +1,44 @@
-//! Compare two versioned rvhpc documents for regressions.
+//! Compare two versioned `rvhpc-metrics/1` documents for regressions.
 //!
 //! ```text
-//! obsdiff baseline.json current.json               # auto-detect kind
-//! obsdiff bench results/BENCH_0.json new.json      # require bench docs
-//! obsdiff metrics results/baseline_metrics.json m.json
+//! obsdiff results/baseline_metrics.json m.json     # default gate
 //! obsdiff baseline.json current.json --ratio 1.5   # tighter quantile gate
 //! obsdiff baseline.json current.json --floor-us 50 # lower noise floor
 //! obsdiff baseline.json current.json --strict      # shape changes fail too
 //! obsdiff base.json cur.json --class-slo interactive:2000000  # QoS p99 gate
-//! obsdiff --trajectory results/                    # render BENCH_* history
 //! ```
 //!
-//! Three document kinds are understood, dispatched on the `schema` tag:
-//! `rvhpc-metrics/1` (serve/loadgen metrics), `rvhpc-bench/1`
-//! (benchmark-trajectory documents from `reproduce bench`) and
-//! `rvhpc-saturation/1` (concurrency sweeps from `loadgen --sweep`). The
-//! first report line always names the detected kind and both file paths.
-//! An optional leading `bench`/`metrics`/`saturation` keyword asserts
-//! the kind — anything else is a mismatch, not a regression.
+//! Both documents must carry the `rvhpc-metrics/1` schema tag (serve,
+//! loadgen and `reproduce --metrics` documents all do); any other tag is
+//! a mismatch, not a regression. The first report line names the
+//! baseline's schema tag and both file paths.
 //!
 //! Exit codes: `0` no regression, `1` regression found, `2` documents
-//! unreadable, unparseable, structurally invalid, or not comparable
-//! (different/unknown schema kinds, latency sections with different
-//! layout versions), `3` usage error. CI relies on the 1-vs-2 split to
-//! tell "this build is slower" from "you diffed the wrong files".
+//! unreadable, unparseable, or not comparable (a schema tag other than
+//! `rvhpc-metrics/1`, latency sections with different layout versions),
+//! `3` usage error. CI relies on the 1-vs-2 split to tell "this build is
+//! slower" from "you diffed the wrong files".
 
-use rvhpc::bench::record;
-use rvhpc::obs::{
-    benchdoc, diff_any, doc_kind, saturation, DiffConfig, JsonValue, BENCH_SCHEMA,
-    SATURATION_SCHEMA,
-};
+use rvhpc::obs::{diff_any, doc_kind, DiffConfig, JsonValue};
 
 fn usage_text() -> &'static str {
-    "usage: obsdiff [bench|metrics|saturation] BASELINE.json CURRENT.json\n\
-     \x20              [--ratio R] [--floor-us N] [--strict]\n\
-     \x20              [--class-slo CLASS:P99_US]...\n\
-     \x20      obsdiff --trajectory DIR\n\
-     \x20 BASELINE.json: reference document (rvhpc-metrics/1, rvhpc-bench/1\n\
-     \x20                or rvhpc-saturation/1)\n\
-     \x20 CURRENT.json:  candidate document to gate\n\
-     \x20 bench|metrics|saturation: optional kind assertion; the default is\n\
-     \x20                to auto-detect from the schema tag (both documents\n\
-     \x20                must agree)\n\
+    "usage: obsdiff BASELINE.json CURRENT.json [--ratio R] [--floor-us N]\n\
+     \x20              [--strict] [--class-slo CLASS:P99_US]...\n\
+     \x20 BASELINE.json: reference rvhpc-metrics/1 document\n\
+     \x20 CURRENT.json:  candidate rvhpc-metrics/1 document to gate\n\
      \x20 --ratio:       quantile regression ratio (default 2.0: fail when\n\
      \x20                current > baseline * ratio)\n\
      \x20 --floor-us:    ignore quantile growth below this absolute value\n\
      \x20                (default 200 us — scheduler noise on idle latencies)\n\
-     \x20 --strict:      keys/targets present on one side only are regressions\n\
+     \x20 --strict:      keys present on one side only are regressions\n\
      \x20 --class-slo:   absolute per-class p99 budget in us (repeatable), e.g.\n\
      \x20                'interactive:2000000': the CURRENT document must carry\n\
      \x20                a classes.CLASS.latency section with p99_us at or under\n\
      \x20                the budget (missing class = exit 2, busted = exit 1)\n\
-     \x20 --trajectory:  render the BENCH_<n>.json history under DIR as one\n\
-     \x20                markdown table (median wall time per target) and exit\n\
      \x20 -h, --help:    print this help and exit\n\
      exit codes: 0 no regression, 1 regression, 2 malformed or\n\
-     incomparable documents (bad JSON, unknown/differing schema kinds,\n\
-     layout-version mismatch), 3 usage error"
+     incomparable documents (bad JSON, a schema tag other than\n\
+     rvhpc-metrics/1, layout-version mismatch), 3 usage error"
 }
 
 fn usage_error(msg: &str) -> ! {
@@ -82,27 +64,8 @@ fn load(path: &str) -> JsonValue {
     }
 }
 
-fn trajectory(dir: &str) -> ! {
-    let entries = record::trajectory_paths(std::path::Path::new(dir));
-    if entries.is_empty() {
-        eprintln!("obsdiff: no BENCH_<n>.json documents under {dir}");
-        std::process::exit(2);
-    }
-    let docs: Vec<(usize, JsonValue)> = entries
-        .iter()
-        .map(|(n, path)| (*n, load(&path.display().to_string())))
-        .collect();
-    println!(
-        "obsdiff: trajectory — {} document(s) under {dir}",
-        docs.len()
-    );
-    print!("{}", record::render_trajectory(&docs));
-    std::process::exit(0);
-}
-
 fn main() {
     let mut cfg = DiffConfig::default();
-    let mut expect_kind: Option<&'static str> = None;
     let mut paths: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -136,21 +99,6 @@ fn main() {
                     )),
                 }
             }
-            "--trajectory" => {
-                let dir = args
-                    .next()
-                    .unwrap_or_else(|| usage_error("--trajectory needs a directory"));
-                trajectory(&dir);
-            }
-            "bench" if paths.is_empty() && expect_kind.is_none() => {
-                expect_kind = Some(BENCH_SCHEMA);
-            }
-            "metrics" if paths.is_empty() && expect_kind.is_none() => {
-                expect_kind = Some(rvhpc::obs::metrics::METRICS_SCHEMA);
-            }
-            "saturation" if paths.is_empty() && expect_kind.is_none() => {
-                expect_kind = Some(SATURATION_SCHEMA);
-            }
             "-h" | "--help" => {
                 println!("{}", usage_text());
                 return;
@@ -169,38 +117,8 @@ fn main() {
     let baseline = load(baseline_path);
     let current = load(current_path);
 
-    let kind = doc_kind(&baseline).unwrap_or("<no schema tag>").to_string();
+    let kind = doc_kind(&baseline).unwrap_or("<no schema tag>");
     println!("obsdiff: {kind} — baseline {baseline_path} vs current {current_path}");
-
-    if let Some(expected) = expect_kind {
-        for (path, doc) in [(baseline_path, &baseline), (current_path, &current)] {
-            let found = doc_kind(doc);
-            if found != Some(expected) {
-                eprintln!(
-                    "obsdiff: {path} is {found:?}, but the command line demands {expected:?}"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    if doc_kind(&baseline) == Some(BENCH_SCHEMA) && doc_kind(&current) == Some(BENCH_SCHEMA) {
-        for (path, doc) in [(baseline_path, &baseline), (current_path, &current)] {
-            if let Err(e) = benchdoc::validate(doc) {
-                eprintln!("obsdiff: {path} is not a valid benchmark document: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if doc_kind(&baseline) == Some(SATURATION_SCHEMA)
-        && doc_kind(&current) == Some(SATURATION_SCHEMA)
-    {
-        for (path, doc) in [(baseline_path, &baseline), (current_path, &current)] {
-            if let Err(e) = saturation::validate(doc) {
-                eprintln!("obsdiff: {path} is not a valid saturation document: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
 
     let report = diff_any(&baseline, &current, &cfg);
     print!("{}", report.render());

@@ -7,8 +7,6 @@
 //! reproduce --metrics out.json \
 //!           [BENCH] [CLASS] [THREADS]   # machine-readable metrics export
 //! reproduce --jobs 8               # engine worker count (else RVHPC_JOBS)
-//! reproduce bench [--filter PAT] [--out FILE] [--quick]   # curated suite
-//! reproduce bench --render DOC.json --saturation SAT.json # BENCHMARKS.md
 //! reproduce isa [--report] [--ablate] [--compare] [--no-zba] [--no-zbb]
 //! ```
 //!
@@ -23,12 +21,6 @@
 //! per-phase times, global stall attribution, the exact per-core
 //! counter partition, and the engine's cache/executor counters.
 //!
-//! `bench` runs the curated benchmark suite (host kernels, engine
-//! batches, serve loopback) and appends the next `BENCH_<n>.json` to the
-//! committed trajectory under `results/`; see README "Benchmark
-//! trajectory". `bench --render` regenerates `BENCHMARKS.md` from a
-//! committed document, byte-identically.
-//!
 //! `isa` exercises the instruction-level backend: each kernel is
 //! assembled for the selected extension set, decoded, interpreted with
 //! its branches fed to archsim's branch predictor, and reported rvr-style
@@ -36,8 +28,7 @@
 //! byte-identical across runs and `--jobs` values.
 //!
 //! Exit codes: `0` success, `1` an `isa --compare` ratio beyond its
-//! tolerance, `2` usage error, `3` output write failure or
-//! unreadable/invalid input.
+//! tolerance, `2` usage error, `3` output write failure.
 
 use rvhpc::eval::engine::{set_default_jobs, Engine, Query};
 use rvhpc::eval::{experiment, metrics, report, runner};
@@ -99,8 +90,6 @@ fn one(slug: &str) -> Option<String> {
 fn usage_text() -> &'static str {
     "usage: reproduce [--jobs N] [EXPERIMENT]\n\
      \x20      reproduce [--jobs N] --metrics <FILE> [BENCH] [CLASS] [THREADS]\n\
-     \x20      reproduce bench [--filter PAT] [--out FILE] [--quick]\n\
-     \x20      reproduce bench --render DOC.json [--saturation SAT.json]\n\
      \x20      reproduce isa [--report] [--ablate] [--compare [--tolerance R]]\n\
      \x20                [--kernel K] [--class C] [--threads N]\n\
      \x20                [--no-zba] [--no-zbb] [--no-rvv] [--metrics FILE]\n\
@@ -112,13 +101,6 @@ fn usage_text() -> &'static str {
      \x20 --metrics:  write the rvhpc-metrics/1 JSON document for one\n\
      \x20             predicted SG2044 run (default: cg C 64), including\n\
      \x20             the engine cache/executor counters\n\
-     \x20 bench:      run the curated benchmark suite and write the next\n\
-     \x20             results/BENCH_<n>.json (rvhpc-bench/1); --quick cuts\n\
-     \x20             iteration counts, --filter runs matching targets only,\n\
-     \x20             --out overrides the path, --render prints\n\
-     \x20             BENCHMARKS.md for an existing document\n\
-     \x20             (--saturation appends the rvhpc-saturation/1 sweep\n\
-     \x20             section from loadgen --sweep)\n\
      \x20 isa:        run the instruction-level backend's kernels (triad,\n\
      \x20             spmv, mg, ep) through decode -> CFG -> interpret,\n\
      \x20             branches fed to a 2-bit predictor, and print the\n\
@@ -130,7 +112,7 @@ fn usage_text() -> &'static str {
      \x20             rvhpc-metrics/1 with the gated isa section\n\
      \x20 -h, --help: print this help and exit\n\
      exit codes: 0 success, 1 isa --compare beyond tolerance,\n\
-     \x20            2 usage error, 3 write failure or bad input"
+     \x20            2 usage error, 3 write failure"
 }
 
 fn usage_error(msg: &str) -> ! {
@@ -346,124 +328,6 @@ fn isa_cmd(rest: &[String]) -> ! {
     std::process::exit(0);
 }
 
-/// The `bench` subcommand: run the curated suite and append the next
-/// document to the benchmark trajectory, or re-render `BENCHMARKS.md`
-/// from a committed document. Never returns.
-fn bench(rest: &[String]) -> ! {
-    use rvhpc::bench::{harness, record};
-
-    let mut cfg = harness::HarnessConfig::default();
-    let mut out: Option<String> = None;
-    let mut render: Option<String> = None;
-    let mut saturation: Option<String> = None;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => cfg.quick = true,
-            "--filter" => {
-                cfg.filter = Some(
-                    it.next()
-                        .unwrap_or_else(|| usage_error("--filter needs a pattern"))
-                        .to_string(),
-                );
-            }
-            "--out" => {
-                out = Some(
-                    it.next()
-                        .unwrap_or_else(|| usage_error("--out needs a file path"))
-                        .to_string(),
-                );
-            }
-            "--render" => {
-                render = Some(
-                    it.next()
-                        .unwrap_or_else(|| usage_error("--render needs a document path"))
-                        .to_string(),
-                );
-            }
-            "--saturation" => {
-                saturation = Some(
-                    it.next()
-                        .unwrap_or_else(|| usage_error("--saturation needs a document path"))
-                        .to_string(),
-                );
-            }
-            other => usage_error(&format!("unknown bench argument '{other}'")),
-        }
-    }
-
-    if let Some(path) = render {
-        let load = |path: &str| -> rvhpc::obs::JsonValue {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("reproduce: cannot read {path}: {e}");
-                std::process::exit(3);
-            });
-            rvhpc::obs::json::parse(text.trim()).unwrap_or_else(|e| {
-                eprintln!("reproduce: {path} is not valid JSON: {e}");
-                std::process::exit(3);
-            })
-        };
-        let doc = load(&path);
-        if let Err(e) = rvhpc::obs::benchdoc::validate(&doc) {
-            eprintln!("reproduce: {path} is not a valid benchmark document: {e}");
-            std::process::exit(3);
-        }
-        let sat = saturation.map(|sat_path| {
-            let sat = load(&sat_path);
-            if let Err(e) = rvhpc::obs::saturation::validate(&sat) {
-                eprintln!("reproduce: {sat_path} is not a valid saturation document: {e}");
-                std::process::exit(3);
-            }
-            sat
-        });
-        print!("{}", record::render_markdown_with(&doc, sat.as_ref()));
-        std::process::exit(0);
-    } else if saturation.is_some() {
-        usage_error("--saturation only makes sense together with --render");
-    }
-
-    let results = harness::run(&cfg);
-    if results.is_empty() {
-        usage_error(&format!(
-            "--filter {:?} matched no targets (suite: {})",
-            cfg.filter.as_deref().unwrap_or(""),
-            harness::TARGET_NAMES.join(", ")
-        ));
-    }
-    let results_dir = std::path::Path::new("results");
-    let (path, index) = match out {
-        Some(p) => {
-            let path = std::path::PathBuf::from(p);
-            let index = record::index_of(&path).unwrap_or(0);
-            (path, index)
-        }
-        None => {
-            let index = record::next_index(results_dir);
-            (record::bench_path(results_dir, index), index)
-        }
-    };
-    let doc = record::build_document(&results, index, cfg.quick);
-    if let Err(e) = rvhpc::obs::benchdoc::validate(&doc) {
-        eprintln!("reproduce: generated document failed validation: {e}");
-        std::process::exit(3);
-    }
-    if let Some(parent) = path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    if let Err(e) = std::fs::write(&path, doc.to_json()) {
-        eprintln!("reproduce: could not write {}: {e}", path.display());
-        std::process::exit(3);
-    }
-    println!(
-        "bench: {} document {index} ({} target(s)) -> {}\n",
-        if cfg.quick { "quick" } else { "full" },
-        results.len(),
-        path.display()
-    );
-    print!("{}", record::render_table(&doc));
-    std::process::exit(0);
-}
-
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
 
@@ -498,7 +362,6 @@ fn main() {
             write_metrics(std::path::Path::new(path), &args[2..]);
             return;
         }
-        Some("bench") => bench(&args[1..]),
         Some("isa") => isa_cmd(&args[1..]),
         Some(slug) if slug.starts_with('-') => {
             usage_error(&format!("unknown option '{slug}'"));

@@ -5,7 +5,6 @@
 //! evaluation framework. See README.md for the tour.
 
 pub use rvhpc_archsim as archsim;
-pub use rvhpc_bench as bench;
 pub use rvhpc_core as eval;
 pub use rvhpc_extras as extras;
 pub use rvhpc_faults as faults;

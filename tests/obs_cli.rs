@@ -190,68 +190,72 @@ fn obshealth_out_writes_versioned_verdict() {
     );
 }
 
-/// The committed saturation sweep self-diffs clean under the asserted
-/// `saturation` kind — the exact invocation the CI sweep gate runs.
+/// The committed serve baseline self-diffs clean — the metrics-gate
+/// invocation CI runs, with the baseline on both sides.
 #[test]
-fn obsdiff_saturation_self_diff_is_clean() {
+fn obsdiff_metrics_self_diff_is_clean() {
     let (code, stdout, stderr) = run(
         env!("CARGO_BIN_EXE_obsdiff"),
         &[
-            "saturation",
-            "results/SATURATION_0.json",
-            "results/SATURATION_0.json",
+            "results/baseline_metrics.json",
+            "results/baseline_metrics.json",
         ],
     );
     assert_eq!(code, 0, "stdout:\n{stdout}\nstderr:\n{stderr}");
-    assert!(stdout.contains("saturation"), "{stdout}");
+    assert!(stdout.contains("rvhpc-metrics/1"), "{stdout}");
+    assert!(stdout.contains("obs-diff: OK"), "{stdout}");
 }
 
-/// Asserting the wrong kind is incomparable (exit 2), not a regression.
+/// Every p99 blown up 10x, well above the default 200 us floor,
+/// regresses against the committed baseline (exit 1).
 #[test]
-fn obsdiff_kind_assertion_mismatch_exits_two() {
-    let (code, stdout, stderr) = run(
-        env!("CARGO_BIN_EXE_obsdiff"),
-        &[
-            "saturation",
-            "results/qos_baseline_metrics.json",
-            "results/qos_baseline_metrics.json",
-        ],
-    );
-    assert_eq!(code, 2, "stdout:\n{stdout}\nstderr:\n{stderr}");
-}
-
-/// A sweep whose per-step p99s blew up 10x regresses against the
-/// committed baseline (exit 1).
-#[test]
-fn obsdiff_saturation_regression_exits_one() {
-    let text = std::fs::read_to_string(repo_path("results/SATURATION_0.json")).expect("read sweep");
-    let mut doctored = json::parse(text.trim()).expect("sweep parses");
-    if let JsonValue::Object(doc) = &mut doctored {
-        if let Some(JsonValue::Array(steps)) = doc.get_mut("steps") {
-            for step in steps.iter_mut() {
-                if let JsonValue::Object(step) = step {
-                    if let Some(JsonValue::Number(v)) = step.get_mut("p99_us") {
-                        *v *= 10.0;
-                    }
+fn obsdiff_metrics_regression_exits_one() {
+    fn scale_p99(v: &mut JsonValue) {
+        if let JsonValue::Object(map) = v {
+            for (key, child) in map.iter_mut() {
+                match child {
+                    JsonValue::Number(n) if key == "p99_us" => *n *= 10.0,
+                    _ => scale_p99(child),
                 }
             }
         }
-        if let Some(JsonValue::Object(knee)) = doc.get_mut("knee") {
-            if let Some(JsonValue::Number(v)) = knee.get_mut("p99_us") {
-                *v *= 10.0;
-            }
-        }
     }
-    let path = scratch("slow_sweep.json");
+    let text =
+        std::fs::read_to_string(repo_path("results/baseline_metrics.json")).expect("read baseline");
+    let mut doctored = json::parse(text.trim()).expect("baseline parses");
+    scale_p99(&mut doctored);
+    let path = scratch("slow_metrics.json");
     write_doc(&path, &doctored);
     let (code, stdout, stderr) = run(
         env!("CARGO_BIN_EXE_obsdiff"),
-        &[
-            "saturation",
-            "results/SATURATION_0.json",
-            &path.display().to_string(),
-        ],
+        &["results/baseline_metrics.json", &path.display().to_string()],
     );
     assert_eq!(code, 1, "stdout:\n{stdout}\nstderr:\n{stderr}");
-    assert!(stdout.contains("REGRESSION"), "{stdout}");
+    assert!(
+        stdout.contains("REGRESSION loadgen.latency.p99_us"),
+        "{stdout}"
+    );
+}
+
+/// A document with any other schema tag is incomparable (exit 2), not a
+/// regression — on either side of the diff.
+#[test]
+fn obsdiff_other_schema_exits_two() {
+    let text =
+        std::fs::read_to_string(repo_path("results/baseline_metrics.json")).expect("read baseline");
+    let mut other = json::parse(text.trim()).expect("baseline parses");
+    if let JsonValue::Object(map) = &mut other {
+        map.insert("schema".to_string(), JsonValue::from("rvhpc-other/1"));
+    }
+    let path = scratch("other_schema.json");
+    write_doc(&path, &other);
+    let other = path.display().to_string();
+    for args in [
+        ["results/baseline_metrics.json", other.as_str()],
+        [other.as_str(), "results/baseline_metrics.json"],
+    ] {
+        let (code, stdout, stderr) = run(env!("CARGO_BIN_EXE_obsdiff"), &args);
+        assert_eq!(code, 2, "stdout:\n{stdout}\nstderr:\n{stderr}");
+        assert!(stdout.contains("MISMATCH schema"), "{stdout}");
+    }
 }
